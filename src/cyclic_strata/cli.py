@@ -7,7 +7,7 @@ strata    per-level stratification table (characteristics, hooks, index sets)
 natural   the natural-index-set grid for several signatures at once
 schur     stratum-coordinate form of the (truncated) curve Schur polynomial
 certify   run the derivative-vanishing certification for one or all levels
-mu        interpolation coefficients for points on a concrete curve
+mu        interpolation coefficients for points on a concrete curve (always JSON)
 
 Exit codes: 0 success, 2 invalid input, 3 certification failure, 4 numeric
 tolerance failure.  All exact data is printed without floating conversion;
@@ -335,11 +335,10 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p)
     p.set_defaults(func=cmd_certify)
 
-    p = sub.add_parser("mu", help="interpolation coefficients on a concrete curve")
+    p = sub.add_parser("mu", help="interpolation coefficients on a concrete curve (JSON)")
     p.add_argument("--curve", required=True, help="JSON: {r, s, lambdas: [[re,im],..]}")
     p.add_argument("--points", required=True, help="JSON: [[xre,xim,yre,yim],..]")
     p.add_argument("--tol", type=float, default=1e-9)
-    add_common(p)
     p.set_defaults(func=cmd_mu)
 
     return parser
@@ -360,6 +359,9 @@ def main(argv=None) -> int:
         print(f"certification failure: {exc}", file=sys.stderr)
         if exc.point is not None:
             print(f"witness point: {tuple(str(t) for t in exc.point)}", file=sys.stderr)
+        if exc.survivors is not None:
+            terms = " ".join(f"{c:+d}*s{_ints(nu)}" for nu, c in exc.survivors.items())
+            print(f"survivors: {terms or 'none'}", file=sys.stderr)
         return EXIT_CERTIFICATION
 
 

@@ -1,5 +1,6 @@
 import json
 from fractions import Fraction
+from itertools import combinations_with_replacement
 
 import pytest
 
@@ -7,6 +8,12 @@ from conftest import coprime_signatures
 from cyclic_strata.certifier import (
     CertificationError,
     StratumRestriction,
+    _beads,
+    _constant_multiple_certificate,
+    _partition,
+    _remove_rim_hooks,
+    _survivors,
+    _vanishing_walk,
     build_hierarchy,
     certify_g_power,
     certify_natural,
@@ -15,7 +22,9 @@ from cyclic_strata.certifier import (
     sub_vanishing_sweep,
     trial_points,
 )
-from cyclic_strata.semigroup import CurveSignature, young_diagram
+from cyclic_strata.polynomials import SparsePolynomial
+from cyclic_strata.schur import power_sum_polynomial, schur_in_T
+from cyclic_strata.semigroup import CurveSignature, u_weights, young_diagram
 from cyclic_strata.strata import natural_k, natural_k_i
 
 
@@ -52,22 +61,101 @@ def test_derivative_on_stratum_examples():
     assert derivative_on_stratum(SIG25, 2, (), rg) != 0
 
 
+def substitute_route(sig, index_multiset):
+    """Independent oracle: expand S in the u coordinates, differentiate, and
+    return a function of k substituting the level-k power sums."""
+    hooks = u_weights(sig)
+    derivative = schur_in_T(young_diagram(sig), sig).as_u
+    for i in index_multiset:
+        derivative = derivative.partial_derivative(i)
+
+    def at_level(k):
+        if derivative.is_constant():  # substitute would keep the u family
+            return SparsePolynomial.constant("t", derivative.constant_value())
+        assignment = {i: power_sum_polynomial(hooks[i - 1], 1, k) for i in derivative.variables()}
+        return derivative.substitute(assignment)
+
+    return at_level
+
+
 def test_derivative_matches_expanded_route():
-    # The jet evaluation and the expanded polynomial must agree everywhere.
-    for rs, k, multis in [
-        ((2, 7), 1, [(), (1,), (2,), (3,), (2, 3), (3, 3, 3)]),
-        ((3, 4), 1, [(), (2,), (1, 2), (2, 3, 3)]),
-        ((3, 5), 2, [(), (3,), (2, 4), (4, 4)]),
-    ]:
+    # The rim-hook engine against the expand-differentiate-substitute oracle:
+    # every multiset of size <= 3 at every level, as polynomials and as values.
+    for rs in [(2, 5), (2, 7), (3, 4), (3, 5), (4, 5)]:
         sig = CurveSignature(*rs)
-        for trial in range(2):
-            pts = trial_points(k, trial)
-            r = StratumRestriction.from_signature(sig, k, pts)
-            assignment = {j + 1: pts[j] for j in range(k)}
-            for index in multis:
-                poly = restricted_derivative_poly(sig, k, index)
-                want = poly.evaluate(assignment) if not poly.is_zero() else Fraction(0)
-                assert derivative_on_stratum(sig, k, index, r) == want, (rs, k, index)
+        g = sig.genus
+        for size in range(4):
+            for index in combinations_with_replacement(range(1, g + 1), size):
+                oracle = substitute_route(sig, index)
+                for k in range(1, g):
+                    want = oracle(k)
+                    assert restricted_derivative_poly(sig, k, index) == want, (rs, k, index)
+                    pts = trial_points(k, k % 2)
+                    assignment = dict(enumerate(pts, start=1))
+                    value = want.evaluate(assignment) if not want.is_zero() else 0
+                    r = StratumRestriction.from_signature(sig, k, pts)
+                    assert derivative_on_stratum(sig, k, index, r) == value, (rs, k, index)
+
+
+def unpruned_verdicts(sig, k, first, top):
+    """Every nondecreasing multiset over [first, g] of size <= top, in walk
+    (lexicographic) order, with whether its derivative survives on level k;
+    states are extended one index at a time and never pruned."""
+    g = sig.genus
+    hooks = u_weights(sig)
+    out = []
+
+    def visit(state, index, last):
+        out.append((index, any(len(_partition(mask)) <= k for mask in state)))
+        if len(index) < top:
+            for j in range(last, g + 1):
+                visit(_remove_rim_hooks(state, hooks[j - 1]), index + (j,), j)
+
+    visit({_beads(sig): 1}, (), first)
+    return out
+
+
+def test_pruned_walk_matches_unpruned():
+    for rs in [(3, 8), (5, 7)]:
+        sig = CurveSignature(*rs)
+        g = sig.genus
+        for k in range(1, g):
+            points = (trial_points(k, 0),)
+            n = len(natural_k(sig, k))
+            verdicts = unpruned_verdicts(sig, k, 1, n)
+            below = [survives for index, survives in verdicts if len(index) < n]
+            assert not any(below)
+            assert sub_vanishing_sweep(sig, k).checked == len(below)
+            # One order further the walk must stop at the first surviving multiset.
+            first_survivor = next(index for index, survives in verdicts if survives)
+            with pytest.raises(CertificationError) as info:
+                _vanishing_walk(sig, k, 1, n + 1, points)
+            error = info.value
+            assert error.index_multiset == first_survivor
+            assert error.survivors and all(len(nu) <= k for nu in error.survivors)
+            restriction = StratumRestriction.from_signature(sig, k, error.point)
+            assert derivative_on_stratum(sig, k, first_survivor, restriction) != 0
+            # The pure chain along u_g: every power below N_k vanishes (checked
+            # unpruned on short chains only; unpruned states grow along it).
+            total = sum(u_weights(sig)[i - 1] for i in natural_k(sig, k))
+            if total <= 12:
+                chain = unpruned_verdicts(sig, k, g, total - 1)
+                assert not any(survives for _, survives in chain)
+            assert _vanishing_walk(sig, k, g, total, points) == total
+
+
+def test_long_chains_match_unpruned():
+    # Pure u_g chains of every order up to one past the diagram size: the
+    # pruned survivors against single boxes removed without pruning.
+    for rs in [(3, 5), (4, 5), (3, 7)]:
+        sig = CurveSignature(*rs)
+        g = sig.genus
+        state = {_beads(sig): 1}
+        for order in range(young_diagram(sig).weight() + 2):
+            for k in range(1, g):
+                stepwise = {_partition(m): c for m, c in state.items() if len(_partition(m)) <= k}
+                assert _survivors(sig, k, (g,) * order) == stepwise, (rs, k, order)
+            state = _remove_rim_hooks(state, 1)
 
 
 def test_mixed_partials_commute():
@@ -120,8 +208,19 @@ def test_certify_detects_vanishing_variant():
     # so certification must fail loudly on such a set.
     sig = CurveSignature(2, 9)
     bad = (set(natural_k(sig, 1)) - {2}) | {3}
-    with pytest.raises(CertificationError):
+    with pytest.raises(CertificationError) as info:
         certify_natural(sig, 1, index_set=tuple(bad))
+    assert info.value.survivors == {}
+
+
+def test_constant_failure_carries_survivors():
+    # A variant set survives, but not as a multiple of the head diagram (4).
+    sig = CurveSignature(2, 9)
+    variant = tuple(sorted(natural_k_i(sig, 1, 1)))
+    with pytest.raises(CertificationError) as info:
+        _constant_multiple_certificate(sig, 1, variant, "expanded", (), 0)
+    survivors = info.value.survivors
+    assert survivors and (4,) not in survivors and all(len(nu) <= 1 for nu in survivors)
 
 
 def test_certify_g_power():
@@ -162,6 +261,9 @@ def test_certificate_json():
     assert main["verdict"] == "nonzero"
     assert (main["constant_num"], main["constant_den"]) in [(1, 1), (-1, 1)]
     assert main["mode"] == "expanded"
+    assert main["engine"] == "rimhook"
+    sweep = sub_vanishing_sweep(CurveSignature(5, 7), 3).to_json_dict()
+    assert (sweep["mode"], sweep["engine"]) == ("sampled", "rimhook")
 
 
 # -- hierarchy -----------------------------------------------------------------

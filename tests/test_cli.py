@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from conftest import read_golden
 from cyclic_strata import cli
 from cyclic_strata.certifier import CertificationError
@@ -121,6 +123,37 @@ def test_certify_failure_exit_code(capsys, monkeypatch):
     assert "witness" in err
 
 
+def test_certify_failure_prints_survivors(capsys, monkeypatch):
+    def boom(sig, k, trials, **kwargs):
+        raise CertificationError("injected fault", point=(1, 2), survivors={(2, 1): -1, (): 3})
+
+    monkeypatch.setattr(cli, "certify_natural", boom)
+    code, _, err = run_cli(capsys, "certify", "2", "7")
+    assert code == 3
+    assert err.index("witness") < err.index("survivors: -1*s(2,1) +3*s()")
+
+
+def test_certify_honours_max_expand_genus(capsys):
+    # Genus 7 under a gate raised to 7 certifies in expanded mode; the
+    # certificates used to rebuild the form under the default gate of 6.
+    code, out, err = run_cli(
+        capsys, "certify", "2", "15", "--k", "6", "--max-expand-genus", "7", "--format", "json"
+    )
+    assert code == 0, err
+    level = json.loads(out)[0]
+    assert level["natural"]["mode"] == "expanded"
+    certificates = level["natural"]["certificates"] + level["g_power"]
+    assert {(c["mode"], c["engine"]) for c in certificates} == {("expanded", "rimhook")}
+    assert (level["sweep"]["mode"], level["sweep"]["engine"]) == ("expanded", "rimhook")
+
+
+def test_certify_genus_24(capsys):
+    # (7,9) has genus 24, beyond the old sampled-evaluation limit of 16.
+    code, out, err = run_cli(capsys, "certify", "7", "9", "--k", "23")
+    assert code == 0, err
+    assert "certified: all statements hold" in out
+
+
 def write_curve_files(tmp_path, lambdas=(1, 0, 0, 0, 0), xs=(0.4, 1.3)):
     curve = CurveInstance(CurveSignature(2, 5), tuple(complex(v) for v in lambdas))
     points = lift_points(curve, list(xs), 0)
@@ -163,3 +196,12 @@ def test_mu_malformed_input_exit_code(capsys, tmp_path):
     code, _, err = run_cli(capsys, "mu", "--curve", str(curve_path),
                            "--points", str(points_path))
     assert code == 2
+
+
+def test_mu_has_no_format_flag(tmp_path):
+    # mu always prints JSON, so it does not accept --format.
+    curve_path, points_path = write_curve_files(tmp_path)
+    with pytest.raises(SystemExit) as info:
+        cli.main(["mu", "--curve", str(curve_path), "--points", str(points_path),
+                  "--format", "table"])
+    assert info.value.code == 2
