@@ -362,14 +362,11 @@ def derivative_on_stratum(
     return _schur_sum_value(_survivors(sig, k, index), k, restriction.t_points)
 
 
-def restricted_derivative_poly(
-    sig: CurveSignature, k: int, index_multiset, max_expand_genus: int = 6
-) -> SparsePolynomial:
+def restricted_derivative_poly(sig: CurveSignature, k: int, index_multiset) -> SparsePolynomial:
     """(prod d/du_i) S restricted to level k, as a polynomial in t_1..t_k.
 
     Built as ``sum c_nu s_nu(t_1..t_k)`` over the survivors, without
-    expanding S, so it has no genus gate; ``max_expand_genus`` is accepted
-    for compatibility and not consulted.
+    expanding S, so it has no genus gate.
     """
     total = SparsePolynomial.zero("t")
     for nu, c in _survivors(sig, k, _sorted_index(sig, index_multiset)).items():

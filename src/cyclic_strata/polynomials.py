@@ -10,20 +10,34 @@ alike.
 
 Representation
 --------------
-A monomial is a :class:`MultiIndex`: a sorted tuple of ``(variable, exponent)``
-pairs with no zero exponents (variables are positive integers, ``t3`` is
-variable 3 of family ``t``).  A polynomial is a mapping from monomials to
-nonzero coefficients.  Coefficients are exact: Python ``int`` or
-``fractions.Fraction``; there is deliberately no floating-point fallback
-because downstream vanishing certificates rely on exact zeros.
+A monomial is one Python ``int`` key.  The exponent of variable v (``t3`` is
+variable 3 of family ``t``) sits in the 10-bit field at bit ``10*(v-1)``, and
+the top bit of every field is a guard, so an exponent is at most 511.  A
+larger one raises ``OverflowError``, whether it is given at construction or
+produced by a product; it never carries into the next field.  Multiplying
+monomials adds their keys, and differentiating subtracts one unit of a field.
 
-``Fraction`` fills the role of an exact rational scalar type (normalized
-sign, reduced terms), so no bespoke rational class is defined here.
+A polynomial is a dict from keys to nonzero coefficients.  Coefficients are
+exact: Python ``int`` or ``fractions.Fraction``; there is deliberately no
+floating-point fallback because downstream vanishing certificates rely on
+exact zeros.  ``Fraction`` fills the role of an exact rational scalar type
+(normalized sign, reduced terms), so no bespoke rational class is defined.
 
-Term order is graded lexicographic (total degree first, then exponent of the
-lowest-numbered variable, and so on).  It fixes the canonical text form used
-in golden files, e.g. ``1/3*u2^3 - u1``, and the leading term used by exact
-division.
+:class:`MultiIndex`, a sorted tuple of ``(variable, exponent)`` pairs, is the
+monomial at the API edge only: the constructor encodes it, and ``terms`` is a
+read-only view decoded back into it.  The canonical text form used in golden
+files, e.g. ``1/3*u2^3 - u1``, lists terms in graded lexicographic order
+(total degree first, then the exponent of the lowest-numbered variable, and
+so on).
+
+Exact division
+--------------
+:func:`exact_divide` is heap division (Monagan & Pearce, "Sparse polynomial
+division using a heap", JSC 2011) in key order.  Because no field carries,
+comparing keys as ints is a monomial order: lexicographic with the highest
+variable first.  An exact quotient does not depend on the order.  A guard
+mask over every field either operand uses turns the divisibility test into
+two int operations.
 
 Determinants
 ------------
@@ -31,24 +45,28 @@ Determinants
 matrices (n <= 6) go through cofactor expansion with memoized minors keyed by
 column subsets, expanding rows bottom-up -- this is essentially free when the
 lower rows are sparse, which is the shape of every Jacobi-Trudi style matrix
-in this package.  Larger matrices use fraction-free Bareiss elimination; the
-interior divisions are exact by construction and any nonzero remainder is
-reported as a bug, never silently dropped.
+in this package.  Larger matrices use fraction-free Bareiss elimination, the
+same loop the exact-number value routes run over ``Fraction``; the interior
+divisions are exact by construction and any nonzero remainder is reported as
+a bug, never silently dropped.
 
 Performance notes
 -----------------
-Products of large integer-coefficient polynomials in at most 6 variables are
-routed through a vectorized path: exponent vectors are packed into int64
-keys, the outer product is formed with numpy, and terms are merged with a
-sort/reduce.  The dict-based path is used everywhere else.  Both paths are
-exact; the vectorized one refuses to run when an int64 overflow is possible.
+A product of at least 25,000 term pairs runs in numpy when every key is below
+2**60 (at most 6 variables) and every coefficient is an ``int`` small enough
+that no merged sum can overflow int64: the keys are added in an outer sum as
+they are, and terms are merged with a sort/reduce.  Every other product runs
+the dict loop.  Both are exact.
 """
 
 from __future__ import annotations
 
 import heapq
 from fractions import Fraction
-from typing import Callable, Iterable, Mapping, Union
+from functools import reduce
+from operator import or_
+from types import MappingProxyType
+from typing import Iterable, Mapping, Union
 
 import numpy as np
 
@@ -71,11 +89,7 @@ class InexactDivisionError(ArithmeticError):
 
 
 class MultiIndex(tuple):
-    """Sparse exponent vector: sorted ``(variable, exponent)`` pairs.
-
-    Subclasses ``tuple`` so instances hash and compare exactly like the plain
-    tuples used on internal fast paths.
-    """
+    """Sparse exponent vector: sorted ``(variable, exponent)`` pairs."""
 
     __slots__ = ()
 
@@ -94,136 +108,97 @@ class MultiIndex(tuple):
     def degree(self) -> int:
         return sum(e for _, e in self)
 
-    def weighted_degree(self, weight: Callable[[int], int]) -> int:
-        return sum(weight(v) * e for v, e in self)
 
-    def as_dict(self) -> dict[int, int]:
-        return dict(self)
-
-
-_EMPTY = MultiIndex()
-
-
-def _mono_mul(m1, m2):
-    if not m1:
-        return m2
-    if not m2:
-        return m1
-    exps = dict(m1)
-    for v, e in m2:
-        exps[v] = exps.get(v, 0) + e
-    return tuple(sorted(exps.items()))
-
-
-def _mono_degree(m) -> int:
-    return sum(e for _, e in m)
-
-
-def _grlex_key(m):
-    # Descending sort on this key lists terms in graded-lex order: highest
-    # total degree first, ties broken by the exponent of t1, then t2, ...
-    if not m:
-        return (0, ())
-    top = m[-1][0]
-    dense = [0] * top
-    for v, e in m:
-        dense[v - 1] = e
-    return (_mono_degree(m), tuple(dense))
-
-
-def _mono_str(m, family: str) -> str:
-    if not m:
-        return "1"
-    parts = []
-    for v, e in m:
-        parts.append(f"{family}{v}" if e == 1 else f"{family}{v}^{e}")
-    return "*".join(parts)
-
-
-# Vectorized multiplication: exponents packed into an int64, 10 bits per
-# variable, variables 1..6.  Packing is only attempted when it cannot
-# overflow and all coefficients are machine ints.
-_PACK_BITS = 10
-_PACK_MAXVAR = 6
-_PACK_MAXEXP = (1 << _PACK_BITS) - 1
+_BITS = 10
+_FIELD = (1 << _BITS) - 1
+_MAX_EXP = (1 << (_BITS - 1)) - 1
 _VECTOR_CUTOFF = 25_000
+_VECTOR_KEY_LIMIT = 1 << 60  # six fields; a sum of two keys fits an int64
 
 
-def _pack(m) -> int:
+def _encode(mono) -> int:
     key = 0
-    for v, e in m:
-        key += e << (_PACK_BITS * (v - 1))
+    for v, e in mono:
+        if e > _MAX_EXP:
+            raise OverflowError(f"exponent {e} of variable {v} exceeds {_MAX_EXP}")
+        key |= e << (_BITS * (v - 1))
     return key
 
 
-def _unpack(key: int):
+def _decode(key: int) -> MultiIndex:
     pairs = []
     var = 1
     while key:
-        e = key & _PACK_MAXEXP
+        e = key & _FIELD
         if e:
             pairs.append((var, e))
-        key >>= _PACK_BITS
+        key >>= _BITS
         var += 1
-    return tuple(pairs)
+    return tuple.__new__(MultiIndex, pairs)
 
 
-def _vector_stats(terms):
-    """(max variable, max single exponent, max |coeff|, all-int?) of a term map."""
-    maxvar = 0
-    maxexp = 0
-    maxc = 0
-    for m, c in terms.items():
-        if type(c) is not int:
-            return None
-        if m:
-            maxvar = max(maxvar, m[-1][0])
-            for _, e in m:
-                if e > maxexp:
-                    maxexp = e
-        a = -c if c < 0 else c
-        if a > maxc:
-            maxc = a
-    return (maxvar, maxexp, maxc)
+def _guard_mask(key: int) -> int:
+    """The guard bit of every field up to the highest field set in ``key``."""
+    fields = -(-key.bit_length() // _BITS)
+    return ((1 << (_BITS * fields)) - 1) // _FIELD << (_BITS - 1)
 
 
-def _mul_vectorized(t1, t2):
-    k1 = np.fromiter((_pack(m) for m in t1), dtype=np.int64, count=len(t1))
+def _grlex_key(m: MultiIndex):
+    # Descending sort on this key lists terms in graded-lex order: highest
+    # total degree first, ties broken by the exponent of t1, then t2, ...
+    dense = [0] * (m[-1][0] if m else 0)
+    for v, e in m:
+        dense[v - 1] = e
+    return (m.degree, tuple(dense))
+
+
+def _mono_str(m: MultiIndex, family: str) -> str:
+    return "*".join(f"{family}{v}" if e == 1 else f"{family}{v}^{e}" for v, e in m)
+
+
+def _vectorizable(t1: dict, t2: dict) -> bool:
+    if len(t1) * len(t2) < _VECTOR_CUTOFF:
+        return False
+    if max(t1) >= _VECTOR_KEY_LIMIT or max(t2) >= _VECTOR_KEY_LIMIT:
+        return False
+    if any(type(c) is not int for t in (t1, t2) for c in t.values()):
+        return False
+    # reduceat adds at most min(len) products of bounded size
+    bound = max(map(abs, t1.values())) * max(map(abs, t2.values())) * min(len(t1), len(t2))
+    return bound < 2**62
+
+
+def _mul_vectorized(t1: dict, t2: dict) -> dict:
+    k1 = np.fromiter(t1, dtype=np.int64, count=len(t1))
     c1 = np.fromiter(t1.values(), dtype=np.int64, count=len(t1))
-    k2 = np.fromiter((_pack(m) for m in t2), dtype=np.int64, count=len(t2))
+    k2 = np.fromiter(t2, dtype=np.int64, count=len(t2))
     c2 = np.fromiter(t2.values(), dtype=np.int64, count=len(t2))
     keys = (k1[:, None] + k2[None, :]).ravel()
     coeffs = (c1[:, None] * c2[None, :]).ravel()
-    order = np.argsort(keys, kind="stable")
+    order = np.argsort(keys)
     keys = keys[order]
-    coeffs = coeffs[order]
     starts = np.concatenate(([0], np.flatnonzero(np.diff(keys)) + 1))
-    sums = np.add.reduceat(coeffs, starts)
-    keys = keys[starts]
+    sums = np.add.reduceat(coeffs[order], starts)
     mask = sums != 0
-    return {_unpack(int(k)): int(c) for k, c in zip(keys[mask], sums[mask])}
+    return dict(zip(keys[starts][mask].tolist(), sums[mask].tolist()))
 
 
-def _mul_dict(t1, t2):
+def _mul_dict(t1: dict, t2: dict) -> dict:
     if len(t1) > len(t2):
         t1, t2 = t2, t1
     out: dict = {}
     get = out.get
     for m1, c1 in t1.items():
         for m2, c2 in t2.items():
-            m = _mono_mul(m1, m2)
-            c = get(m, 0) + c1 * c2
-            if c:
-                out[m] = c
-            elif m in out:
-                del out[m]
-    return out
+            m = m1 + m2
+            out[m] = get(m, 0) + c1 * c2
+    return {m: c for m, c in out.items() if c}
 
 
 class SparsePolynomial:
     """Immutable exact multivariate polynomial over one variable family."""
 
-    __slots__ = ("family", "terms")
+    __slots__ = ("family", "_terms")
 
     def __init__(self, family: str, terms: Mapping = ()):
         if not family:
@@ -231,24 +206,21 @@ class SparsePolynomial:
         clean: dict = {}
         items = terms.items() if isinstance(terms, Mapping) else terms
         for m, c in items:
-            if not isinstance(m, MultiIndex):
-                m = MultiIndex(m)
+            key = _encode(m if isinstance(m, MultiIndex) else MultiIndex(m))
             if c:
-                clean[m] = clean.get(m, 0) + c
-                if not clean[m]:
-                    del clean[m]
+                clean[key] = clean.get(key, 0) + c
         object.__setattr__(self, "family", family)
-        object.__setattr__(self, "terms", clean)
+        object.__setattr__(self, "_terms", {m: c for m, c in clean.items() if c})
 
     def __setattr__(self, name, value):  # pragma: no cover - guard rail
         raise AttributeError("SparsePolynomial is immutable")
 
     @classmethod
     def _raw(cls, family: str, terms: dict) -> "SparsePolynomial":
-        # Internal: terms already normalized (no zero coefficients).
+        # Internal: int keys within the exponent cap, no zero coefficients.
         self = object.__new__(cls)
         object.__setattr__(self, "family", family)
-        object.__setattr__(self, "terms", terms)
+        object.__setattr__(self, "_terms", terms)
         return self
 
     @classmethod
@@ -257,7 +229,7 @@ class SparsePolynomial:
 
     @classmethod
     def constant(cls, family: str, value: Coeff) -> "SparsePolynomial":
-        return cls._raw(family, {_EMPTY: value} if value else {})
+        return cls._raw(family, {0: value} if value else {})
 
     @classmethod
     def one(cls, family: str) -> "SparsePolynomial":
@@ -269,45 +241,39 @@ class SparsePolynomial:
             raise ValueError("variable index must be >= 1")
         if exponent < 0:
             raise ValueError("exponent must be >= 0")
-        if exponent == 0:
-            return cls.one(family)
-        return cls._raw(family, {((index, exponent),): 1})
+        return cls._raw(family, {_encode(((index, exponent),)): 1})
 
     # -- basic queries ---------------------------------------------------
 
+    @property
+    def terms(self) -> Mapping[MultiIndex, Coeff]:
+        """Read-only view of the terms, keyed by decoded :class:`MultiIndex`."""
+        return MappingProxyType({_decode(m): c for m, c in self._terms.items()})
+
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self._terms
 
     def is_constant(self) -> bool:
-        return not self.terms or (len(self.terms) == 1 and _EMPTY in self.terms)
+        return not self._terms or (len(self._terms) == 1 and 0 in self._terms)
 
     def constant_value(self) -> Coeff:
         if not self.is_constant():
             raise ValueError("polynomial is not constant")
-        return self.terms.get(_EMPTY, 0)
+        return self._terms.get(0, 0)
 
     def variables(self) -> set[int]:
-        out: set[int] = set()
-        for m in self.terms:
-            out.update(v for v, _ in m)
-        return out
-
-    def total_degree(self) -> int:
-        if not self.terms:
-            return 0
-        return max(_mono_degree(m) for m in self.terms)
-
-    def coefficient(self, mono) -> Coeff:
-        if not isinstance(mono, tuple):
-            mono = MultiIndex(mono)
-        return self.terms.get(mono, 0)
+        used = reduce(or_, self._terms, 0)
+        return {v for v, _ in _decode(used)} if used else set()
 
     def __len__(self) -> int:
-        return len(self.terms)
+        return len(self._terms)
+
+    def __bool__(self) -> bool:
+        return bool(self._terms)
 
     def __eq__(self, other) -> bool:
         if isinstance(other, SparsePolynomial):
-            return self.family == other.family and self.terms == other.terms
+            return self.family == other.family and self._terms == other._terms
         if isinstance(other, (int, Fraction)):
             return self.is_constant() and self.constant_value() == other
         return NotImplemented
@@ -328,7 +294,7 @@ class SparsePolynomial:
         if not isinstance(other, SparsePolynomial):
             return NotImplemented
         self._check_family(other)
-        a, b = self.terms, other.terms
+        a, b = self._terms, other._terms
         if len(a) < len(b):
             a, b = b, a
         out = dict(a)
@@ -343,7 +309,7 @@ class SparsePolynomial:
     __radd__ = __add__
 
     def __neg__(self):
-        return SparsePolynomial._raw(self.family, {m: -c for m, c in self.terms.items()})
+        return SparsePolynomial._raw(self.family, {m: -c for m, c in self._terms.items()})
 
     def __sub__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -361,27 +327,28 @@ class SparsePolynomial:
         if not isinstance(other, SparsePolynomial):
             return NotImplemented
         self._check_family(other)
-        t1, t2 = self.terms, other.terms
+        t1, t2 = self._terms, other._terms
         if not t1 or not t2:
             return SparsePolynomial.zero(self.family)
-        if len(t1) * len(t2) >= _VECTOR_CUTOFF:
-            s1 = _vector_stats(t1)
-            s2 = _vector_stats(t2)
-            if s1 and s2:
-                maxvar = max(s1[0], s2[0])
-                maxexp = s1[1] + s2[1]
-                # reduceat adds at most min(len) products of bounded size
-                bound = s1[2] * s2[2] * min(len(t1), len(t2))
-                if maxvar <= _PACK_MAXVAR and maxexp <= _PACK_MAXEXP and bound < 2**62:
-                    return SparsePolynomial._raw(self.family, _mul_vectorized(t1, t2))
-        return SparsePolynomial._raw(self.family, _mul_dict(t1, t2))
+        out = _mul_vectorized(t1, t2) if _vectorizable(t1, t2) else _mul_dict(t1, t2)
+        # Each exponent is at most 511, so a sum of two never carries out of
+        # its field, but it can reach the guard bit.
+        used = reduce(or_, out, 0)
+        if used & _guard_mask(used):
+            raise OverflowError(f"a product exponent exceeds {_MAX_EXP}")
+        return SparsePolynomial._raw(self.family, out)
 
     __rmul__ = __mul__
+
+    def __truediv__(self, other):
+        if not isinstance(other, SparsePolynomial):
+            return NotImplemented
+        return exact_divide(self, other)
 
     def scale(self, c: Coeff) -> "SparsePolynomial":
         if not c:
             return SparsePolynomial.zero(self.family)
-        return SparsePolynomial._raw(self.family, {m: c * v for m, v in self.terms.items()})
+        return SparsePolynomial._raw(self.family, {m: c * v for m, v in self._terms.items()})
 
     def __pow__(self, n: int) -> "SparsePolynomial":
         if not isinstance(n, int) or n < 0:
@@ -400,17 +367,13 @@ class SparsePolynomial:
     # -- calculus and specialization --------------------------------------
 
     def partial_derivative(self, var: int) -> "SparsePolynomial":
+        shift = _BITS * (var - 1)
+        unit = 1 << shift
         out = {}
-        for m, c in self.terms.items():
-            exps = dict(m)
-            e = exps.get(var)
-            if not e:
-                continue
-            if e == 1:
-                del exps[var]
-            else:
-                exps[var] = e - 1
-            out[tuple(sorted(exps.items()))] = c * e
+        for m, c in self._terms.items():
+            e = (m >> shift) & _FIELD
+            if e:
+                out[m - unit] = c * e
         return SparsePolynomial._raw(self.family, out)
 
     def evaluate(self, assignment: Mapping[int, Coeff]) -> Coeff:
@@ -418,9 +381,9 @@ class SparsePolynomial:
         if missing:
             raise MissingAssignmentError(f"no value for variables {sorted(missing)}")
         total: Coeff = 0
-        for m, c in self.terms.items():
+        for m, c in self._terms.items():
             value = c
-            for v, e in m:
+            for v, e in _decode(m):
                 value = value * assignment[v] ** e
             total = total + value
         return Fraction(total)
@@ -444,8 +407,8 @@ class SparsePolynomial:
             return got
 
         result = SparsePolynomial.zero(target)
-        for m, c in self.terms.items():
-            factors = sorted((power(v, e) for v, e in m), key=len)
+        for m, c in self._terms.items():
+            factors = sorted((power(v, e) for v, e in _decode(m)), key=len)
             term = SparsePolynomial.constant(target, c)
             for f in factors:
                 term = term * f
@@ -454,37 +417,30 @@ class SparsePolynomial:
 
     def rename_variables(self, mapping: Mapping[int, int], family: str) -> "SparsePolynomial":
         """Injective relabel of variables, possibly into another family."""
-        out = {}
-        for m, c in self.terms.items():
-            out[tuple(sorted((mapping[v], e) for v, e in m))] = c
-        if len(out) != len(self.terms):
+        used = self.variables()
+        if len({mapping[v] for v in used}) != len(used):
             raise ValueError("variable renaming is not injective")
+        out = {}
+        for m, c in self._terms.items():
+            out[_encode((mapping[v], e) for v, e in _decode(m))] = c
         return SparsePolynomial._raw(family, out)
 
-    # -- leading terms and canonical text ----------------------------------
-
-    def leading_monomial(self):
-        if not self.terms:
-            raise ValueError("zero polynomial has no leading monomial")
-        return max(self.terms, key=_grlex_key)
-
-    def sorted_terms(self):
-        return sorted(self.terms.items(), key=lambda mc: _grlex_key(mc[0]), reverse=True)
+    # -- canonical text ----------------------------------------------------
 
     def canonical_str(self) -> str:
-        if not self.terms:
+        if not self._terms:
             return "0"
         pieces = []
-        for m, c in self.sorted_terms():
+        decoded = sorted(self.terms.items(), key=lambda mc: _grlex_key(mc[0]), reverse=True)
+        for m, c in decoded:
             neg = c < 0
             mag = -c if neg else c
-            mono = _mono_str(m, self.family)
             if not m:
                 body = f"{mag}"
             elif mag == 1:
-                body = mono
+                body = _mono_str(m, self.family)
             else:
-                body = f"{mag}*{mono}"
+                body = f"{mag}*{_mono_str(m, self.family)}"
             if not pieces:
                 pieces.append(f"-{body}" if neg else body)
             else:
@@ -498,153 +454,50 @@ class SparsePolynomial:
         return f"SparsePolynomial({self.family!r}, {self.canonical_str()!r})"
 
 
-# -- module-level operation surface ---------------------------------------
-
-
-def add(p: SparsePolynomial, q: SparsePolynomial) -> SparsePolynomial:
-    return p + q
-
-
-def mul(p: SparsePolynomial, q: SparsePolynomial) -> SparsePolynomial:
-    return p * q
-
-
-def scale(p: SparsePolynomial, c: Coeff) -> SparsePolynomial:
-    return p.scale(c)
-
-
-def partial_derivative(p: SparsePolynomial, var: int) -> SparsePolynomial:
-    return p.partial_derivative(var)
-
-
-def evaluate(p: SparsePolynomial, assignment: Mapping[int, Coeff]) -> Coeff:
-    return p.evaluate(assignment)
-
-
-def substitute(p: SparsePolynomial, assignment: Mapping[int, SparsePolynomial]) -> SparsePolynomial:
-    return p.substitute(assignment)
-
-
 # -- exact division ---------------------------------------------------------
-
-
-def _divisible(m, lead) -> bool:
-    exps = dict(m)
-    return all(exps.get(v, 0) >= e for v, e in lead)
-
-
-def _mono_quotient(m, lead):
-    exps = dict(m)
-    for v, e in lead:
-        exps[v] -= e
-        if not exps[v]:
-            del exps[v]
-    return tuple(sorted(exps.items()))
 
 
 def exact_divide(p: SparsePolynomial, q: SparsePolynomial) -> SparsePolynomial:
     """Return p / q, raising :class:`InexactDivisionError` unless exact."""
     p._check_family(q)
-    if q.is_zero():
+    if not q:
         raise ZeroDivisionError("polynomial division by zero")
-    if p.is_zero():
-        return SparsePolynomial.zero(p.family)
-    maxvar = max(self_vars) if (self_vars := p.variables() | q.variables()) else 0
-    packable = (
-        maxvar <= _PACK_MAXVAR
-        and p.total_degree() <= _GUARD_MAXDEG
-        and q.total_degree() <= _GUARD_MAXDEG
-    )
-    if packable and len(p.terms) * len(q.terms) > 10_000:
-        return _divide_packed(p, q)
-    return _divide_generic(p, q)
-
-
-def _divide_generic(p: SparsePolynomial, q: SparsePolynomial) -> SparsePolynomial:
-    lead = q.leading_monomial()
-    lead_c = q.terms[lead]
-    rem = dict(p.terms)
-    quo: dict = {}
-    while rem:
-        m = max(rem, key=_grlex_key)
-        if not _divisible(m, lead):
-            raise InexactDivisionError("leading term not divisible; division is not exact")
-        qm = _mono_quotient(m, lead)
-        qc = Fraction(rem[m], lead_c) if rem[m] % lead_c else rem[m] // lead_c
-        quo[qm] = quo.get(qm, 0) + qc
-        for mq, cq in q.terms.items():
-            mm = _mono_mul(qm, mq)
-            c = rem.get(mm, 0) - qc * cq
-            if c:
-                rem[mm] = c
-            elif mm in rem:
-                del rem[mm]
-    return SparsePolynomial._raw(p.family, {m: c for m, c in quo.items() if c})
-
-
-# Packed graded-lex keys for the heap-based division: exponent of variable 1
-# sits in the most significant variable field (so plain integer comparison is
-# lexicographic), with the total degree packed above everything.  A guard bit
-# per field makes subtraction borrow-free, which turns the divisibility test
-# into two integer operations; this requires every exponent and the total
-# degree to stay below 512.
-_GUARD_MAXDEG = (1 << (_PACK_BITS - 1)) - 1
-_DEG_SHIFT = _PACK_BITS * _PACK_MAXVAR
-_GUARD_MASK = sum(
-    1 << (_PACK_BITS * f + _PACK_BITS - 1) for f in range(_PACK_MAXVAR + 1)
-)
-
-
-def _grlex_packed(m) -> int:
-    key = _mono_degree(m) << _DEG_SHIFT
-    for v, e in m:
-        key |= e << (_PACK_BITS * (_PACK_MAXVAR - v))
-    return key
-
-
-def _grlex_unpack(key: int):
-    pairs = []
-    for v in range(1, _PACK_MAXVAR + 1):
-        e = (key >> (_PACK_BITS * (_PACK_MAXVAR - v))) & _PACK_MAXEXP
-        if e:
-            pairs.append((v, e))
-    return tuple(pairs)
-
-
-def _divide_packed(p: SparsePolynomial, q: SparsePolynomial) -> SparsePolynomial:
-    qkeyed = sorted(((_grlex_packed(m), c) for m, c in q.terms.items()), reverse=True)
+    qkeyed = sorted(q._terms.items(), reverse=True)
     lead, lead_c = qkeyed[0]
     qtail = qkeyed[1:]
-    rem = {_grlex_packed(m): c for m, c in p.terms.items()}
+    rem = dict(p._terms)
+    # Every key met below lies in the fields of p or q.  An exact quotient
+    # never takes an exponent past p's, so a remainder key with a guard bit
+    # set proves the division inexact.
+    guard = _guard_mask(max(max(rem, default=0), lead))
     heap = [-k for k in rem]
     heapq.heapify(heap)
-    guard = _GUARD_MASK
     quo: dict = {}
     while rem:
         # Lazy deletion: the heap may hold keys cancelled since they were pushed.
-        while True:
-            m = -heap[0]
-            if m in rem:
-                break
+        while -heap[0] not in rem:
             heapq.heappop(heap)
+        m = -heapq.heappop(heap)
         if ((m | guard) - lead) & guard != guard:
             raise InexactDivisionError("leading term not divisible; division is not exact")
         qm = m - lead
-        qc = Fraction(rem[m], lead_c) if rem[m] % lead_c else rem[m] // lead_c
-        quo[qm] = quo.get(qm, 0) + qc
-        del rem[m]
+        c = rem.pop(m)
+        qc = Fraction(c, lead_c) if c % lead_c else c // lead_c
+        quo[qm] = qc
         for kq, cq in qtail:
             mm = qm + kq
-            c = rem.get(mm, 0) - qc * cq
-            if c:
-                if mm not in rem:
-                    heapq.heappush(heap, -mm)
-                rem[mm] = c
-            elif mm in rem:
+            d = qc * cq
+            c = rem.get(mm)
+            if c is None:
+                if mm & guard:
+                    raise InexactDivisionError("quotient exponent exceeds the dividend's")
+                heapq.heappush(heap, -mm)
+                rem[mm] = -d
+            elif c == d:
                 del rem[mm]
-    return SparsePolynomial._raw(
-        p.family, {_grlex_unpack(k): c for k, c in quo.items() if c}
-    )
+            else:
+                rem[mm] = c - d
+    return SparsePolynomial._raw(p.family, quo)
 
 
 # -- determinants ------------------------------------------------------------
@@ -669,7 +522,7 @@ def det(matrix) -> SparsePolynomial:
                 raise FamilyMismatchError("matrix entries span multiple families")
     if n <= 6:
         return _det_cofactor(matrix, family)
-    return _det_bareiss(matrix, family)
+    return _det_bareiss(matrix, SparsePolynomial.one(family))
 
 
 def _det_cofactor(matrix, family: str) -> SparsePolynomial:
@@ -700,23 +553,25 @@ def _det_cofactor(matrix, family: str) -> SparsePolynomial:
     return minor(tuple(range(n)))
 
 
-def _det_bareiss(matrix, family: str) -> SparsePolynomial:
+def _det_bareiss(matrix, one):
+    """Fraction-free Bareiss elimination over any exact ring whose ``/`` is
+    exact division (``Fraction``, or :class:`SparsePolynomial` through
+    :func:`exact_divide`); the determinant of a 0x0 matrix is ``one``."""
     n = len(matrix)
     m = [list(row) for row in matrix]
     sign = 1
-    prev = SparsePolynomial.one(family)
+    prev = one
     for k in range(n - 1):
-        if m[k][k].is_zero():
-            pivot_row = next((i for i in range(k + 1, n) if not m[i][k].is_zero()), None)
+        if not m[k][k]:
+            pivot_row = next((i for i in range(k + 1, n) if m[i][k]), None)
             if pivot_row is None:
-                return SparsePolynomial.zero(family)
+                return one * 0
             m[k], m[pivot_row] = m[pivot_row], m[k]
             sign = -sign
         for i in range(k + 1, n):
             for j in range(k + 1, n):
-                numer = m[k][k] * m[i][j] - m[i][k] * m[k][j]
-                m[i][j] = exact_divide(numer, prev)
-            m[i][k] = SparsePolynomial.zero(family)
+                m[i][j] = (m[k][k] * m[i][j] - m[i][k] * m[k][j]) / prev
         prev = m[k][k]
-    result = m[n - 1][n - 1]
-    return result if sign == 1 else -result
+    if n == 0:
+        return one
+    return m[-1][-1] if sign == 1 else -m[-1][-1]

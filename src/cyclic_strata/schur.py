@@ -52,6 +52,7 @@ from itertools import combinations
 from .polynomials import (
     InexactDivisionError,
     SparsePolynomial,
+    _det_bareiss,
     det,
     exact_divide,
 )
@@ -93,7 +94,7 @@ class SchurForm:
 # -- complete homogeneous symmetric functions --------------------------------
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1024)
 def _h(n: int, lo: int, hi: int) -> SparsePolynomial:
     # h_n over the (possibly empty) window t_lo..t_hi.
     if n < 0:
@@ -114,7 +115,7 @@ def h_complete(n: int, window: SymmetricWindow, g: int) -> SparsePolynomial:
     return _h(n, window.lo, window.hi)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=64)
 def h_from_T(n: int) -> SparsePolynomial:
     """h_n written in the scaled power sums T_1..T_n.
 
@@ -298,18 +299,14 @@ def designated_hooks(sig: CurveSignature) -> tuple[int, ...]:
     return u_weights(sig)
 
 
-@lru_cache(maxsize=None)
-def _schur_in_T_cached(parts: tuple[int, ...], sig: CurveSignature, gate: int) -> SchurForm:
+@lru_cache(maxsize=128)
+def _schur_in_T_cached(parts: tuple[int, ...], sig: CurveSignature) -> SchurForm:
     g = sig.genus
     lam = young_diagram(sig)
     diagram = YoungDiagram(parts)
     hooks = designated_hooks(sig)
 
     if parts == lam.parts:
-        if g > gate:
-            raise ExpansionLimitError(
-                f"genus {g} exceeds the expansion gate {gate}; raise max_expand_genus"
-            )
         if g == 0:
             one_T = SparsePolynomial.one("T")
             return SchurForm(diagram, SparsePolynomial.one("t"), one_T, SparsePolynomial.one("u"))
@@ -334,10 +331,6 @@ def _schur_in_T_cached(parts: tuple[int, ...], sig: CurveSignature, gate: int) -
         return SchurForm(diagram, schur_jacobi_trudi(diagram, g), as_T, as_u)
 
     k = len(parts)
-    if k > g or parts != truncate_upper(lam, k).parts:
-        raise ValueError(
-            "diagram must be the curve diagram or one of its head truncations"
-        )
     if k == 0:
         return SchurForm(
             diagram,
@@ -346,7 +339,7 @@ def _schur_in_T_cached(parts: tuple[int, ...], sig: CurveSignature, gate: int) -
             SparsePolynomial.one("u"),
         )
 
-    full = _schur_in_T_cached(lam.parts, sig, gate)
+    full = _schur_in_T_cached(lam.parts, sig)
     derivative = full.as_T
     for i in natural_k(sig, k):
         derivative = derivative.partial_derivative(hooks[i - 1])
@@ -377,8 +370,20 @@ def schur_in_T(
     """Power-sum (and stratum-coordinate) form of a curve diagram's Schur.
 
     The diagram must be the signature's diagram or a head truncation of it.
+    Every form but the empty head's expands the full form, so it raises
+    :class:`ExpansionLimitError` when the genus exceeds ``max_expand_genus``.
     """
-    return _schur_in_T_cached(diagram.parts, sig, max_expand_genus)
+    parts = diagram.parts
+    lam = young_diagram(sig)
+    k = len(parts)
+    if parts != lam.parts and (k > sig.genus or parts != truncate_upper(lam, k).parts):
+        raise ValueError("diagram must be the curve diagram or one of its head truncations")
+    if parts and sig.genus > max_expand_genus:
+        raise ExpansionLimitError(
+            f"genus {sig.genus} exceeds the expansion gate {max_expand_genus}; "
+            "raise max_expand_genus"
+        )
+    return _schur_in_T_cached(parts, sig)
 
 
 def transition_matrix(sig: CurveSignature, k: int) -> list[list[SparsePolynomial]]:
@@ -405,35 +410,31 @@ def transition_matrix(sig: CurveSignature, k: int) -> list[list[SparsePolynomial
 # -- exact pointwise evaluation of every route --------------------------------
 
 
-def _h_value(n: int, lo: int, hi: int, values) -> Fraction:
-    if n < 0:
-        return Fraction(0)
-    table = [Fraction(1)] + [Fraction(0)] * n
-    for v in range(lo, hi + 1):
+def _trudi_value(diagram: YoungDiagram, g: int, values, start) -> Fraction:
+    """Exact |h_(L_i + j - i)| at ``values``, column j over the window t_start(j)..t_g.
+
+    One h-table per suffix window serves every entry: the table of
+    t_lo..t_g is the table of t_(lo+1)..t_g with t_lo added.
+    """
+    parts = _padded_parts(diagram, g)
+    top = parts[0] + g - 1 if g else 0
+    table = [Fraction(1)] + [Fraction(0)] * top
+    tables = [table]
+    for v in range(g, 0, -1):
         x = Fraction(values[v - 1])
-        for d in range(1, n + 1):
+        table = table[:]
+        for d in range(1, top + 1):
             table[d] += x * table[d - 1]
-    return table[n]
-
-
-def det_exact_numbers(matrix) -> Fraction:
-    """Fraction-free style elimination over exact rationals."""
-    n = len(matrix)
-    m = [[Fraction(x) for x in row] for row in matrix]
-    sign = 1
-    prev = Fraction(1)
-    for k in range(n - 1):
-        if not m[k][k]:
-            pivot_row = next((i for i in range(k + 1, n) if m[i][k]), None)
-            if pivot_row is None:
-                return Fraction(0)
-            m[k], m[pivot_row] = m[pivot_row], m[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[k][k] * m[i][j] - m[i][k] * m[k][j]) / prev
-        prev = m[k][k]
-    return sign * m[n - 1][n - 1]
+        tables.append(table)
+    zero = Fraction(0)
+    matrix = []
+    for i in range(1, g + 1):
+        row = []
+        for j in range(1, g + 1):
+            n = parts[i - 1] + j - i
+            row.append(tables[g + 1 - start(j)][n] if n >= 0 else zero)
+        matrix.append(row)
+    return _det_bareiss(matrix, Fraction(1))
 
 
 def bialternant_value(diagram: YoungDiagram, g: int, values) -> Fraction:
@@ -441,39 +442,21 @@ def bialternant_value(diagram: YoungDiagram, g: int, values) -> Fraction:
     vals = [Fraction(v) for v in values]
     num = [[vals[j] ** (parts[i] + g - i - 1) for j in range(g)] for i in range(g)]
     den = [[vals[j] ** (g - i - 1) for j in range(g)] for i in range(g)]
-    d = det_exact_numbers(den)
+    d = _det_bareiss(den, Fraction(1))
     if not d:
         raise ZeroDivisionError("evaluation points must be pairwise distinct")
-    return det_exact_numbers(num) / d
+    return _det_bareiss(num, Fraction(1)) / d
 
 
 def jacobi_trudi_value(diagram: YoungDiagram, g: int, values) -> Fraction:
-    parts = _padded_parts(diagram, g)
-    matrix = [
-        [_h_value(parts[i - 1] + j - i, 1, g, values) for j in range(1, g + 1)]
-        for i in range(1, g + 1)
-    ]
-    return det_exact_numbers(matrix)
+    return _trudi_value(diagram, g, values, lambda j: 1)
 
 
 def tail_trudi_value(diagram: YoungDiagram, g: int, values) -> Fraction:
-    parts = _padded_parts(diagram, g)
-    matrix = [
-        [_h_value(parts[i - 1] + j - i, j, g, values) for j in range(1, g + 1)]
-        for i in range(1, g + 1)
-    ]
-    return det_exact_numbers(matrix)
+    return _trudi_value(diagram, g, values, lambda j: j)
 
 
 def split_trudi_value(diagram: YoungDiagram, g: int, k: int, values) -> Fraction:
     if not 0 <= k <= g:
         raise ValueError(f"split point must lie in [0, {g}], got {k}")
-    parts = _padded_parts(diagram, g)
-    matrix = [
-        [
-            _h_value(parts[i - 1] + j - i, 1 if j <= k else k + 1, g, values)
-            for j in range(1, g + 1)
-        ]
-        for i in range(1, g + 1)
-    ]
-    return det_exact_numbers(matrix)
+    return _trudi_value(diagram, g, values, lambda j: 1 if j <= k else k + 1)

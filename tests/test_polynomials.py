@@ -10,10 +10,7 @@ from cyclic_strata.polynomials import (
     MissingAssignmentError,
     MultiIndex,
     SparsePolynomial as Poly,
-    _divide_generic,
-    _divide_packed,
-    _mul_dict,
-    _mul_vectorized,
+    _vectorizable,
     det,
     exact_divide,
 )
@@ -101,6 +98,26 @@ def test_canonical_str():
 def test_immutability():
     with pytest.raises(AttributeError):
         T1.family = "u"
+    with pytest.raises(TypeError):
+        T1.terms[MultiIndex([(1, 1)])] = 2
+
+
+def test_exponent_cap_raises():
+    assert Poly.variable("t", 2, 511) == Poly("t", {MultiIndex([(2, 511)]): 1})
+    with pytest.raises(OverflowError):
+        Poly.variable("t", 2, 512)
+    with pytest.raises(OverflowError):
+        Poly("t", {MultiIndex([(1, 1), (7, 512)]): 3})
+    with pytest.raises(OverflowError):
+        _ = Poly.variable("t", 2, 511) * T2
+    with pytest.raises(OverflowError):
+        _ = (T1 * T3) ** 512
+    # the same overflow inside a product large enough for numpy
+    a = _random_poly(random.Random(3), 300, 6, 7, -9, 9) + Poly.variable("t", 6, 300)
+    b = _random_poly(random.Random(4), 200, 6, 7, -9, 9) + Poly.variable("t", 6, 212)
+    assert _vectorizable(a._terms, b._terms)
+    with pytest.raises(OverflowError):
+        _ = a * b
 
 
 # -- determinants --------------------------------------------------------------
@@ -166,6 +183,7 @@ def test_exact_division_roundtrip(p, q):
         return
     prod = p * q
     assert exact_divide(prod, q) == p
+    assert prod / q == p
 
 
 @settings(max_examples=30)
@@ -182,43 +200,73 @@ def test_evaluate_commutes_with_substitute(p):
 
 
 def test_inexact_division_raises():
-    with pytest.raises(InexactDivisionError):
-        exact_divide(T1 + Poly.one("t"), T2)
+    t8 = Poly.variable("t", 8)
+    for p, q in [
+        # the divisor's lead lies in a field above every dividend key
+        (T1 + Poly.one("t"), T2),
+        (T1 ** 3 + T2, t8),
+        (t8 * T1, t8 * T2 + T3),
+        # the quotient would need t1^800, past the dividend's t1^300
+        (T2 * T1 ** 300, T2 + T1 ** 500),
+        (T1 * T2 + Poly.one("t"), T1 + T2),
+    ]:
+        with pytest.raises(InexactDivisionError):
+            exact_divide(p, q)
 
 
-def test_division_paths_agree():
+# -- large products and divisions against a tuple-monomial oracle ---------------
+
+
+def _random_poly(rng, n, nvars, max_exp, lo, hi, family="t"):
+    terms = {}
+    for _ in range(n):
+        mono = MultiIndex((v, rng.randint(0, max_exp)) for v in range(1, nvars + 1))
+        terms[mono] = rng.randint(lo, hi)
+    return Poly(family, terms)
+
+
+def _oracle_product(p, q):
+    """p * q by the schoolbook double loop over (variable, exponent) tuples."""
+    out = {}
+    for m1, c1 in p.terms.items():
+        for m2, c2 in q.terms.items():
+            exps = dict(m1)
+            for v, e in m2:
+                exps[v] = exps.get(v, 0) + e
+            m = tuple(sorted(exps.items()))
+            out[m] = out.get(m, 0) + c1 * c2
+    return {m: c for m, c in out.items() if c}
+
+
+def test_large_products_match_tuple_oracle():
+    rng = random.Random(17)
+    cases = [
+        # at most 6 variables and int coefficients: numpy
+        (_random_poly(rng, 400, 6, 7, -50, 50), _random_poly(rng, 300, 6, 7, -50, 50), True),
+        (_random_poly(rng, 250, 3, 40, -10**6, 10**6), _random_poly(rng, 120, 3, 40, -9, 9), True),
+        # 8 variables: dict
+        (_random_poly(rng, 220, 8, 5, -50, 50), _random_poly(rng, 150, 8, 5, -50, 50), False),
+        # Fraction coefficients: dict
+        (_random_poly(rng, 220, 6, 5, -50, 50).scale(Fraction(1, 3)),
+         _random_poly(rng, 150, 6, 5, -50, 50), False),
+        # coefficients too large for int64 sums: dict
+        (_random_poly(rng, 200, 4, 5, -2**40, 2**40), _random_poly(rng, 150, 4, 5, -2**40, 2**40),
+         False),
+    ]
+    for a, b, vectorized in cases:
+        assert len(a) * len(b) >= 25_000
+        assert _vectorizable(a._terms, b._terms) == vectorized
+        assert dict((a * b).terms) == _oracle_product(a, b)
+
+
+def test_exact_division_roundtrip_in_eight_variables():
     rng = random.Random(5)
-
-    def rnd(n):
-        terms = {}
-        for _ in range(n):
-            mono = MultiIndex(
-                (v, rng.randint(0, 5)) for v in range(1, 5)
-            )
-            terms[mono] = rng.randint(-9, 9)
-        return Poly("t", terms)
-
-    for _ in range(20):
-        a, b = rnd(rng.randint(1, 30)), rnd(rng.randint(1, 30))
+    for _ in range(10):
+        a = _random_poly(rng, rng.randint(1, 40), 8, 4, -9, 9)
+        b = _random_poly(rng, rng.randint(1, 40), 8, 4, -9, 9)
         if b.is_zero():
             continue
         prod = a * b
-        if prod.is_zero():
-            continue
-        assert _divide_packed(prod, b) == a
-        assert _divide_generic(prod, b) == a
-
-
-def test_vectorized_multiply_agrees_with_dict():
-    rng = random.Random(17)
-
-    def rnd(n):
-        terms = {}
-        for _ in range(n):
-            mono = MultiIndex((v, rng.randint(0, 7)) for v in range(1, 7))
-            terms[mono] = rng.randint(-50, 50)
-        return Poly("t", terms)
-
-    for _ in range(5):
-        a, b = rnd(400), rnd(300)
-        assert _mul_vectorized(a.terms, b.terms) == _mul_dict(a.terms, b.terms)
+        assert dict(prod.terms) == _oracle_product(a, b)
+        assert exact_divide(prod, b) == a
+        assert exact_divide(prod.scale(Fraction(2, 7)), b.scale(3)) == a.scale(Fraction(2, 21))

@@ -236,8 +236,22 @@ def test_schur_in_T_rejects_foreign_diagrams():
 
 def test_expansion_gate():
     sig = CurveSignature(5, 7)
+    lam = young_diagram(sig)
     with pytest.raises(ExpansionLimitError):
-        schur_in_T(young_diagram(sig), sig, max_expand_genus=6)
+        schur_in_T(lam, sig, max_expand_genus=6)
+    for k in (1, 5, sig.genus - 1):
+        with pytest.raises(ExpansionLimitError):
+            schur_in_T(truncate_upper(lam, k), sig, max_expand_genus=6)
+    assert schur_in_T(truncate_upper(lam, 0), sig, max_expand_genus=6).as_u == Poly.one("u")
+
+
+def test_schur_in_T_cached_once_across_gates():
+    sig = CurveSignature(3, 4)
+    lam = young_diagram(sig)
+    for diagram in (lam, truncate_upper(lam, 2)):
+        form = schur_in_T(diagram, sig, max_expand_genus=sig.genus)
+        assert schur_in_T(diagram, sig) is form
+        assert schur_in_T(diagram, sig, max_expand_genus=40) is form
 
 
 def test_transition_matrix():
@@ -274,3 +288,11 @@ def test_value_routes_agree_with_polynomials():
     assert tail_trudi_value(lam, g, values) == expected
     for k in range(g + 1):
         assert split_trudi_value(lam, g, k, values) == expected
+
+
+def test_value_routes_on_the_empty_matrix():
+    empty = YoungDiagram(())
+    assert jacobi_trudi_value(empty, 0, ()) == 1
+    assert tail_trudi_value(empty, 0, ()) == 1
+    assert split_trudi_value(empty, 0, 0, ()) == 1
+    assert bialternant_value(empty, 0, ()) == 1
