@@ -41,14 +41,14 @@ two int operations.
 
 Determinants
 ------------
-:func:`det` computes exact determinants of square polynomial matrices.  Small
-matrices (n <= 6) go through cofactor expansion with memoized minors keyed by
-column subsets, expanding rows bottom-up -- this is essentially free when the
-lower rows are sparse, which is the shape of every Jacobi-Trudi style matrix
-in this package.  Larger matrices use fraction-free Bareiss elimination, the
-same loop the exact-number value routes run over ``Fraction``; the interior
-divisions are exact by construction and any nonzero remainder is reported as
-a bug, never silently dropped.
+:func:`det` computes exact determinants of square polynomial matrices by
+cofactor expansion with memoized minors keyed by column subsets, expanding
+rows bottom-up -- this is essentially free when the lower rows are sparse,
+which is the shape of every Jacobi-Trudi style matrix in this package.  It
+has no size dispatch: polynomial Bareiss, whose every step is an exact
+division, took about 100 times as long on the 7x7 alternants of (2, 15).
+Fraction-free Bareiss elimination (:func:`_det_bareiss`) serves only the
+exact-number value routes, over ``Fraction``.
 
 Performance notes
 -----------------
@@ -267,9 +267,6 @@ class SparsePolynomial:
 
     def __len__(self) -> int:
         return len(self._terms)
-
-    def __bool__(self) -> bool:
-        return bool(self._terms)
 
     def __eq__(self, other) -> bool:
         if isinstance(other, SparsePolynomial):
@@ -506,9 +503,8 @@ def exact_divide(p: SparsePolynomial, q: SparsePolynomial) -> SparsePolynomial:
 def det(matrix) -> SparsePolynomial:
     """Exact determinant of a square matrix of SparsePolynomial entries.
 
-    Cofactor expansion with memoized column-subset minors up to 6x6 (rows
-    expanded bottom-up so sparse lower rows prune early), fraction-free
-    Bareiss elimination beyond that.
+    Cofactor expansion with memoized column-subset minors, rows expanded
+    bottom-up so sparse lower rows prune early.
     """
     n = len(matrix)
     if n == 0:
@@ -520,13 +516,6 @@ def det(matrix) -> SparsePolynomial:
         for entry in row:
             if entry.family != family:
                 raise FamilyMismatchError("matrix entries span multiple families")
-    if n <= 6:
-        return _det_cofactor(matrix, family)
-    return _det_bareiss(matrix, SparsePolynomial.one(family))
-
-
-def _det_cofactor(matrix, family: str) -> SparsePolynomial:
-    n = len(matrix)
     memo: dict[tuple[int, ...], SparsePolynomial] = {}
 
     def minor(cols: tuple[int, ...]) -> SparsePolynomial:
@@ -553,19 +542,19 @@ def _det_cofactor(matrix, family: str) -> SparsePolynomial:
     return minor(tuple(range(n)))
 
 
-def _det_bareiss(matrix, one):
-    """Fraction-free Bareiss elimination over any exact ring whose ``/`` is
-    exact division (``Fraction``, or :class:`SparsePolynomial` through
-    :func:`exact_divide`); the determinant of a 0x0 matrix is ``one``."""
+def _det_bareiss(matrix) -> Fraction:
+    """Fraction-free Bareiss elimination over ``Fraction`` entries, for the
+    exact-number value routes; every ``/`` is exact and a 0x0 matrix has
+    determinant 1."""
     n = len(matrix)
     m = [list(row) for row in matrix]
     sign = 1
-    prev = one
+    prev = Fraction(1)
     for k in range(n - 1):
         if not m[k][k]:
             pivot_row = next((i for i in range(k + 1, n) if m[i][k]), None)
             if pivot_row is None:
-                return one * 0
+                return Fraction(0)
             m[k], m[pivot_row] = m[pivot_row], m[k]
             sign = -sign
         for i in range(k + 1, n):
@@ -573,5 +562,5 @@ def _det_bareiss(matrix, one):
                 m[i][j] = (m[k][k] * m[i][j] - m[i][k] * m[k][j]) / prev
         prev = m[k][k]
     if n == 0:
-        return one
+        return Fraction(1)
     return m[-1][-1] if sign == 1 else -m[-1][-1]

@@ -17,8 +17,9 @@ computed four independent ways, all of which must agree exactly:
 The complete homogeneous functions themselves come in two coordinate
 systems: :func:`h_complete` expands in the ``t`` variables while
 :func:`h_from_T` expresses h_n through the scaled power sums
-``T_m = (1/m) sum t_i^m`` via the classical n x n Newton determinant
-(divided by n!).  Note the 1/m scaling: these are not the plain power sums.
+``T_m = (1/m) sum t_i^m`` by Newton's recurrence
+``n h_n = sum_(m=1..n) m T_m h_(n-m)``.  Note the 1/m scaling: these are not
+the plain power sums.
 
 Power-sum form of the curve Schur polynomial
 --------------------------------------------
@@ -43,7 +44,6 @@ points, which is how route agreement is checked for e.g. (5, 7) at genus 12.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -119,26 +119,16 @@ def h_complete(n: int, window: SymmetricWindow, g: int) -> SparsePolynomial:
 def h_from_T(n: int) -> SparsePolynomial:
     """h_n written in the scaled power sums T_1..T_n.
 
-    The n x n Newton determinant with rows ``(m T_m, (m-1) T_(m-1), ...)``
-    and superdiagonal ``-1, -2, ..., 1-n``, divided by n!.
+    Newton's recurrence ``n h_n = sum_(m=1..n) m T_m h_(n-m)``.
     """
     if n < 0:
         return SparsePolynomial.zero("T")
     if n == 0:
         return SparsePolynomial.one("T")
-    matrix = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            if j <= i:
-                m = i - j + 1
-                row.append(SparsePolynomial.variable("T", m).scale(m))
-            elif j == i + 1:
-                row.append(SparsePolynomial.constant("T", -i - 1))
-            else:
-                row.append(SparsePolynomial.zero("T"))
-        matrix.append(row)
-    return det(matrix).scale(Fraction(1, math.factorial(n)))
+    total = SparsePolynomial.zero("T")
+    for m in range(1, n + 1):
+        total = total + (SparsePolynomial.variable("T", m) * h_from_T(n - m)).scale(m)
+    return total.scale(Fraction(1, n))
 
 
 def power_sum_polynomial(m: int, lo: int, hi: int) -> SparsePolynomial:
@@ -294,17 +284,12 @@ def h_recursion_check(n: int, m: int | None, l1: int, l2: int) -> tuple[bool, bo
 # -- power-sum form of the curve Schur polynomial -----------------------------
 
 
-def designated_hooks(sig: CurveSignature) -> tuple[int, ...]:
-    """First-column hook lengths; the only power sums the curve form uses."""
-    return u_weights(sig)
-
-
 @lru_cache(maxsize=128)
 def _schur_in_T_cached(parts: tuple[int, ...], sig: CurveSignature) -> SchurForm:
     g = sig.genus
     lam = young_diagram(sig)
     diagram = YoungDiagram(parts)
-    hooks = designated_hooks(sig)
+    hooks = u_weights(sig)
 
     if parts == lam.parts:
         if g == 0:
@@ -434,7 +419,7 @@ def _trudi_value(diagram: YoungDiagram, g: int, values, start) -> Fraction:
             n = parts[i - 1] + j - i
             row.append(tables[g + 1 - start(j)][n] if n >= 0 else zero)
         matrix.append(row)
-    return _det_bareiss(matrix, Fraction(1))
+    return _det_bareiss(matrix)
 
 
 def bialternant_value(diagram: YoungDiagram, g: int, values) -> Fraction:
@@ -442,10 +427,10 @@ def bialternant_value(diagram: YoungDiagram, g: int, values) -> Fraction:
     vals = [Fraction(v) for v in values]
     num = [[vals[j] ** (parts[i] + g - i - 1) for j in range(g)] for i in range(g)]
     den = [[vals[j] ** (g - i - 1) for j in range(g)] for i in range(g)]
-    d = _det_bareiss(den, Fraction(1))
+    d = _det_bareiss(den)
     if not d:
         raise ZeroDivisionError("evaluation points must be pairwise distinct")
-    return _det_bareiss(num, Fraction(1)) / d
+    return _det_bareiss(num) / d
 
 
 def jacobi_trudi_value(diagram: YoungDiagram, g: int, values) -> Fraction:

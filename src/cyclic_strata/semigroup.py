@@ -2,12 +2,16 @@
 
 A coprime pair ``r < s`` fixes the curve ``y^r = f(x)`` (``f`` monic of
 degree ``s``) with a single point at infinity.  Everything in this module is
-determined by the Weierstrass semigroup ``<r, s>`` at that point:
+determined by the Weierstrass semigroup ``<r, s>`` at that point, and read
+off one tuple per signature: :func:`pole_orders`, the pole orders
+``N(0) < ... < N(g)`` realizable by functions regular off infinity, i.e. the
+g + 1 elements of ``<r, s>`` up to ``N(g) = 2g`` (``N(g-1) = 2g-2``).  Every
+integer from 2g on is a pole order, so ``N(n) = n + g`` for ``n >= g`` and no
+caller needs a bound.  From that tuple come
 
-* the pole orders ``N(0) < N(1) < ...`` realizable by functions regular off
-  infinity (``N(0) = 0``, ``N(g-1) = 2g-2``, ``N(g) = 2g``),
-* the monic monomials ``x^a y^b`` (``0 <= b < r``) realizing them,
 * the genus ``g = (r-1)(s-1)/2``, equal to the number of gaps,
+* the monic monomials ``x^a y^b`` (``0 <= b < r``) realizing them, with
+  ``b = N * s^-1 mod r``,
 * the Young diagram with rows ``L_i = g - N(i-1) + (i-1)`` of total weight
   ``(r^2-1)(s^2-1)/24``,
 * the first-column hook lengths ``L_i + g - i = 2g - N(i-1) - 1``, which are
@@ -22,12 +26,16 @@ For (r, s) = (5, 7), genus 12::
     row       -  12 8  7   5   4   3   3    2    1   1    1     1
 
 All values are small exact integers; everything here is pure and immutable.
+The pole orders, the diagram and the hook lengths are held in bounded
+``lru_cache``s keyed by the signature's value, so every caller shares one
+entry per (r, s).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 
 @dataclass(frozen=True)
@@ -68,9 +76,8 @@ class NonGapSequence:
 
     def gaps(self) -> tuple[int, ...]:
         """The g gaps: complement of the semigroup within [0, 2g)."""
-        g = self.signature.genus
-        members = set(_semigroup_elements(self.signature, 2 * g))
-        return tuple(n for n in range(2 * g) if n not in members)
+        members = set(pole_orders(self.signature))
+        return tuple(n for n in range(2 * self.signature.genus) if n not in members)
 
     def __len__(self) -> int:
         return len(self.values)
@@ -129,57 +136,50 @@ class YoungDiagram:
         return 1 <= row <= len(self.parts) and 1 <= col <= self.parts[row - 1]
 
 
-def _semigroup_elements(sig: CurveSignature, bound: int) -> list[int]:
-    """Sorted elements of <r, s> that are <= bound."""
-    members = set()
-    a = 0
-    while a * sig.r <= bound:
-        value = a * sig.r
-        while value <= bound:
-            members.add(value)
-            value += sig.s
-        a += 1
-    return sorted(members)
+@lru_cache(maxsize=256)
+def pole_orders(sig: CurveSignature) -> tuple[int, ...]:
+    """N(0..g): the g + 1 elements of <r, s> up to 2g.
+
+    n lies in <r, s> iff n = a*r + b*s with b = n * s^-1 mod r and a >= 0.
+    """
+    inverse = pow(sig.s, -1, sig.r)
+    return tuple(n for n in range(2 * sig.genus + 1) if n * inverse % sig.r * sig.s <= n)
 
 
 def nongap_sequence(sig: CurveSignature, count: int) -> NonGapSequence:
     """First `count` pole orders N(0), N(1), ... of the semigroup <r, s>."""
     if count < 1:
         raise ValueError("count must be >= 1")
-    # Every integer >= 2g is a pole order, so this bound always suffices.
-    bound = 2 * sig.genus + count
-    values = _semigroup_elements(sig, bound)[:count]
-    return NonGapSequence(sig, tuple(values))
+    g = sig.genus
+    values = pole_orders(sig)[:count] + tuple(range(2 * g + 1, count + g))
+    return NonGapSequence(sig, values)
 
 
 def monomial_basis(sig: CurveSignature, count: int) -> list[WeierstrassMonomial]:
     """Monomials of pole orders N(0)..N(count-1), reduced to 0 <= b < r.
 
-    The representative is unique: b is fixed modulo r by the pole order, and
-    y^r reduces via the curve equation.
+    The representative is unique: b = N * s^-1 mod r is fixed by the pole
+    order, and y^r reduces via the curve equation.
     """
+    inverse = pow(sig.s, -1, sig.r)
     out = []
     for n in nongap_sequence(sig, count).values:
-        for b in range(sig.r):
-            rest = n - b * sig.s
-            if rest >= 0 and rest % sig.r == 0:
-                out.append(WeierstrassMonomial(rest // sig.r, b, n))
-                break
-        else:  # pragma: no cover - n is a semigroup element by construction
-            raise AssertionError(f"{n} is not representable in <{sig.r},{sig.s}>")
+        b = n * inverse % sig.r
+        out.append(WeierstrassMonomial((n - b * sig.s) // sig.r, b, n))
     return out
 
 
+@lru_cache(maxsize=256)
 def young_diagram(sig: CurveSignature) -> YoungDiagram:
     """Rows L_i = g - N(i-1) + (i-1) for i = 1..g."""
     g = sig.genus
-    ngs = nongap_sequence(sig, g + 1).values if g else ()
-    parts = tuple(g - ngs[i - 1] + (i - 1) for i in range(1, g + 1))
-    diagram = YoungDiagram(parts)
+    orders = pole_orders(sig)
+    diagram = YoungDiagram(tuple(g - orders[i] + i for i in range(g)))
     assert diagram.weight() == sig.diagram_weight()
     return diagram
 
 
+@lru_cache(maxsize=256)
 def u_weights(sig: CurveSignature) -> tuple[int, ...]:
     """Inverse pole orders 2g - N(i-1) - 1 = L_i + g - i of u_1..u_g.
 
@@ -187,7 +187,4 @@ def u_weights(sig: CurveSignature) -> tuple[int, ...]:
     of the diagram and serve as the weights of the stratum coordinates.
     """
     g = sig.genus
-    if g == 0:
-        return ()
-    ngs = nongap_sequence(sig, g).values
-    return tuple(2 * g - ngs[i - 1] - 1 for i in range(1, g + 1))
+    return tuple(2 * g - n - 1 for n in pole_orders(sig)[:g])

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .semigroup import CurveSignature, YoungDiagram, nongap_sequence, u_weights, young_diagram
+from .semigroup import CurveSignature, YoungDiagram, pole_orders, u_weights, young_diagram
 
 
 class InternalConsistencyError(AssertionError):
@@ -129,10 +129,7 @@ def n_k(sig: CurveSignature, k: int) -> int:
     g = sig.genus
     if not 0 <= k <= g:
         raise ValueError(f"k must lie in [0, {g}], got {k}")
-    if k == g:
-        return 0
-    values = nongap_sequence(sig, g + 1).values
-    return sum(1 for v in values if v <= g - k - 1)
+    return sum(1 for v in pole_orders(sig) if v <= g - k - 1)
 
 
 def N_k_sum(sig: CurveSignature, k: int) -> int:
@@ -140,11 +137,8 @@ def N_k_sum(sig: CurveSignature, k: int) -> int:
     g = sig.genus
     if not 0 <= k <= g:
         raise ValueError(f"k must lie in [0, {g}], got {k}")
-    count = n_k(sig, k)
-    if count == 0:
-        return 0
-    values = nongap_sequence(sig, k + count).values
-    return sum(2 * g - values[l] - values[k + l] - 1 for l in range(count))
+    values = pole_orders(sig)
+    return sum(2 * g - values[l] - values[k + l] - 1 for l in range(n_k(sig, k)))
 
 
 def N_k_tail(sig: CurveSignature, k: int) -> int:
@@ -165,20 +159,10 @@ def fay_sets(sig: CurveSignature, k: int) -> tuple[tuple[int, ...], tuple[int, .
     g = sig.genus
     if not 0 <= k < g:
         raise ValueError(f"k must lie in [0, {g}), got {k}")
-    values = nongap_sequence(sig, 2 * g + 1).values
-    m_plus = []
-    for v in values:
-        e = g - v - k - 1
-        if e < 0:
-            break
-        m_plus.append(e)
-    m_minus = []
-    for l in range(len(values) - k):
-        e = g - values[l + k] + k - 1
-        if e < 0:
-            break
-        m_minus.append(e)
-    return tuple(sorted(m_plus)), tuple(sorted(m_minus))
+    values = pole_orders(sig)
+    m_plus = sorted(g - v - k - 1 for v in values if v < g - k)
+    m_minus = sorted(g - v + k - 1 for v in values[k:] if v < g + k)
+    return tuple(m_plus), tuple(m_minus)
 
 
 def natural_k(sig: CurveSignature, k: int) -> tuple[int, ...]:

@@ -1,9 +1,10 @@
+import math
 from fractions import Fraction
 from itertools import combinations_with_replacement, permutations
 
 import pytest
 
-from cyclic_strata.polynomials import MultiIndex, SparsePolynomial as Poly
+from cyclic_strata.polynomials import MultiIndex, SparsePolynomial as Poly, det
 from cyclic_strata.schur import (
     ExpansionLimitError,
     SymmetricWindow,
@@ -87,9 +88,30 @@ def test_h_from_T_small():
     assert h_from_T(-1).is_zero()
 
 
+def newton_determinant_h(n):
+    """Oracle: h_n as the n x n Newton determinant divided by n!.
+
+    Row i holds ``(i T_i, (i-1) T_(i-1), ..., T_1)`` followed by ``-i`` on the
+    superdiagonal and zeros beyond it.
+    """
+    if n == 0:
+        return Poly.one("T")
+    matrix = [
+        [
+            Poly.variable("T", i - j + 1).scale(i - j + 1) if j <= i
+            else Poly.constant("T", -i - 1) if j == i + 1
+            else Poly.zero("T")
+            for j in range(n)
+        ]
+        for i in range(n)
+    ]
+    return det(matrix).scale(Fraction(1, math.factorial(n)))
+
+
 def test_h_from_T_matches_newton_recurrence():
     for n in range(11):
         assert h_from_T(n) == brute_newton_h(n)
+        assert h_from_T(n) == newton_determinant_h(n)
 
 
 def test_h_from_T_bridges_to_h_complete():

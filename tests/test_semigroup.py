@@ -6,6 +6,7 @@ from cyclic_strata.semigroup import (
     YoungDiagram,
     monomial_basis,
     nongap_sequence,
+    pole_orders,
     u_weights,
     young_diagram,
 )
@@ -72,16 +73,35 @@ def test_monomial_basis_golden():
     assert (m1.a, m1.b, m1.wdeg) == (1, 0, 2)
 
 
+def brute_semigroup(r, s, bound):
+    """Oracle: {a*r + b*s <= bound} with the (a, b), 0 <= b < r, of each."""
+    reps = {}
+    for b in range(r):
+        for a in range((bound - b * s) // r + 1 if b * s <= bound else 0):
+            reps[a * r + b * s] = (a, b)
+    return reps
+
+
 def test_monomial_wdeg_matches_nongaps():
-    for r, s in coprime_signatures(13):
+    # counts up to 3s run past N(g) = 2g, where N(n) = n + g.
+    for r, s in coprime_signatures(15):
         sig = CurveSignature(r, s)
-        count = sig.genus + 2
-        values = nongap_sequence(sig, count).values
+        g = sig.genus
+        count = 3 * s
+        reps = brute_semigroup(r, s, count + 2 * g)
+        expected = sorted(reps)[:count]
+        assert nongap_sequence(sig, count).values == tuple(expected)
+        assert nongap_sequence(sig, count).gaps() == tuple(
+            n for n in range(2 * g) if n not in reps
+        )
         basis = monomial_basis(sig, count)
+        assert [(mono.a, mono.b) for mono in basis] == [reps[n] for n in expected]
         for n, mono in enumerate(basis):
-            assert mono.wdeg == values[n]
-            assert mono.a * r + mono.b * s == values[n]
+            assert mono.wdeg == expected[n]
+            assert mono.a * r + mono.b * s == expected[n]
             assert 0 <= mono.b < r
+        for c in range(1, count):
+            assert nongap_sequence(sig, c).values == tuple(expected[:c])
 
 
 def test_young_diagram_golden():
@@ -125,6 +145,17 @@ def test_gap_count_is_genus():
     for r, s in coprime_signatures(13):
         sig = CurveSignature(r, s)
         assert len(nongap_sequence(sig, max(sig.genus, 1)).gaps()) == sig.genus
+
+
+def test_curve_data_is_cached_by_signature_value():
+    # Fresh signature instances share one cache entry, and no cache is unbounded.
+    assert young_diagram(CurveSignature(5, 7)) is young_diagram(CurveSignature(5, 7))
+    assert u_weights(CurveSignature(5, 7)) is u_weights(CurveSignature(5, 7))
+    assert pole_orders(CurveSignature(5, 7)) is pole_orders(CurveSignature(5, 7))
+    assert pole_orders(SIG57) == NONGAPS_57
+    for cached in (pole_orders, young_diagram, u_weights):
+        maxsize = cached.cache_info().maxsize
+        assert maxsize is not None and maxsize > 0
 
 
 def test_young_diagram_validation():
