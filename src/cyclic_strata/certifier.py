@@ -59,7 +59,7 @@ from functools import lru_cache
 from itertools import combinations
 
 from .polynomials import SparsePolynomial
-from .schur import jacobi_trudi_value, schur_jacobi_trudi
+from .schur import jacobi_trudi_value, schur_bialternant
 from .semigroup import CurveSignature, YoungDiagram, u_weights, young_diagram
 from .strata import (
     InternalConsistencyError,
@@ -295,7 +295,7 @@ def _schur_sum_value(survivors: dict, k: int, point) -> Fraction:
 
 @lru_cache(maxsize=256)
 def _schur_poly(nu: tuple[int, ...], k: int) -> SparsePolynomial:
-    return schur_jacobi_trudi(YoungDiagram(nu), k)
+    return schur_bialternant(YoungDiagram(nu), k)
 
 
 def _sorted_index(sig: CurveSignature, index_multiset) -> tuple[int, ...]:

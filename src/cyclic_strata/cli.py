@@ -21,6 +21,7 @@ import csv
 import io
 import json
 import sys
+from functools import lru_cache
 
 from .certifier import (
     CertificationError,
@@ -59,6 +60,10 @@ def _csv_table(header: list[str], rows: list[list[str]]) -> str:
     writer.writerow(header)
     writer.writerows(rows)
     return buffer.getvalue()
+
+
+def _print_table(fmt: str, header: list[str], rows: list[list[str]]) -> None:
+    print((_csv_table if fmt == "csv" else _md_table)(header, rows), end="")
 
 
 def _ints(values) -> str:
@@ -125,10 +130,7 @@ def cmd_strata(args) -> int:
             str(p.k), str(p.n_k), str(p.N_k), ab,
             _ints(p.chars.hooks()), str(sum(p.chars.hooks())), _ints(p.natural),
         ])
-    if args.format == "csv":
-        print(_csv_table(header, rows), end="")
-    else:
-        print(_md_table(header, rows), end="")
+    _print_table(args.format, header, rows)
     return EXIT_OK
 
 
@@ -161,10 +163,7 @@ def cmd_natural(args) -> int:
         for k in range(1, width + 1):
             cells.append(_set_cell(natural_k(sig, k)) if k < sig.genus else "")
         rows.append(cells)
-    if args.format == "csv":
-        print(_csv_table(header, rows), end="")
-    else:
-        print(_md_table(header, rows), end="")
+    _print_table(args.format, header, rows)
     return EXIT_OK
 
 
@@ -192,6 +191,8 @@ def cmd_certify(args) -> int:
     levels = [args.k] if args.k is not None else list(range(1, g))
     if any(not 1 <= k < g for k in levels):
         raise SystemExit2(f"k must lie in [1, {g})")
+    if args.trials < 1 or args.seed < 0:
+        raise SystemExit2("--trials must be >= 1 and --seed >= 0")
     results = []
     for k in levels:
         bundle = certify_natural(
@@ -233,10 +234,8 @@ def cmd_certify(args) -> int:
                 str(bundle.k), _ints(cert.index_multiset), cert.verdict,
                 str(cert.constant), cert.mode, "",
             ])
-    if args.format == "csv":
-        print(_csv_table(header, rows), end="")
-    else:
-        print(_md_table(header, rows), end="")
+    _print_table(args.format, header, rows)
+    if args.format != "csv":
         print("certified: all statements hold")
     return EXIT_OK
 
@@ -344,15 +343,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@lru_cache(maxsize=1)
+def _parser() -> argparse.ArgumentParser:
+    # One parser per process; parse_args fills a fresh namespace every call.
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
-    except SystemExit2 as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INVALID
-    except ExpansionLimitError as exc:
+    except (SystemExit2, ExpansionLimitError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
     except CertificationError as exc:

@@ -158,10 +158,8 @@ def mu_coeffs(curve: CurveInstance, points) -> MuCoefficients:
     n = len(points)
     if n < 1:
         raise ValueError("need at least one point")
-    xs = [p.x for p in points]
     if len({(round(p.x.real, 12), round(p.x.imag, 12), round(p.y.real, 12), round(p.y.imag, 12)) for p in points}) != n:
         raise ValueError("points must be pairwise distinct")
-    del xs
     full = _phi_values(curve, points, n + 1)
     psi = full[:, :n]
     # Hadamard-scaled singularity test for the unbordered determinant.

@@ -37,7 +37,9 @@ division using a heap", JSC 2011) in key order.  Because no field carries,
 comparing keys as ints is a monomial order: lexicographic with the highest
 variable first.  An exact quotient does not depend on the order.  A guard
 mask over every field either operand uses turns the divisibility test into
-two int operations.
+two int operations.  Its one caller in the symbolic routes is
+``schur.schur_bialternant``, which divides the alternant by the binomials
+``t_i - t_j`` one at a time, so the divisor always has two terms.
 
 Determinants
 ------------
@@ -355,10 +357,9 @@ class SparsePolynomial:
         while n:
             if n & 1:
                 result = result * base
-            base_needed = n >> 1
-            if base_needed:
+            n >>= 1
+            if n:
                 base = base * base
-            n = base_needed
         return result
 
     # -- calculus and specialization --------------------------------------

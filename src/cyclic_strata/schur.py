@@ -6,13 +6,18 @@ For a diagram L inside g variables ``t_1..t_g`` the Schur polynomial is
 computed four independent ways, all of which must agree exactly:
 
 * ``schur_bialternant``  -- ratio of alternants: the monomial determinant
-  ``|t_j^(L_i + g - i)|`` divided (exactly) by the Vandermonde determinant.
+  ``|t_j^(L_i + g - i)|`` divided exactly by each factor ``t_i - t_j``, i < j,
+  of the Vandermonde (Macdonald, *Symmetric Functions*, I.(3.1)).  It is the
+  ``t``-form that :func:`schur_in_T` returns and the certifier expands.
 * ``schur_jacobi_trudi`` -- determinant of complete homogeneous functions
   ``|h_(L_i + j - i)|`` over the full window of variables.
 * ``schur_tail_trudi``   -- same shape, but column j only uses the suffix
   window ``t_j..t_g``.
 * ``schur_split_trudi``  -- columns 1..k use the full window, columns
   k+1..g use the suffix window ``t_(k+1)..t_g``; one route per split point.
+
+The three Trudi routes are the bialternant's independent oracles; the
+Jacobi-Trudi and split routes share the full-window minors ``_left_minors``.
 
 The complete homogeneous functions themselves come in two coordinate
 systems: :func:`h_complete` expands in the ``t`` variables while
@@ -48,6 +53,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
+from math import prod
 
 from .polynomials import (
     InexactDivisionError,
@@ -135,10 +141,7 @@ def power_sum_polynomial(m: int, lo: int, hi: int) -> SparsePolynomial:
     """T_m over the window as a t-polynomial: (1/m) (t_lo^m + ... + t_hi^m)."""
     if m < 1:
         raise ValueError("power-sum index must be >= 1")
-    total = SparsePolynomial.zero("t")
-    for v in range(lo, hi + 1):
-        total = total + SparsePolynomial.variable("t", v, m)
-    return total.scale(Fraction(1, m))
+    return SparsePolynomial("t", {((v, m),): Fraction(1, m) for v in range(lo, hi + 1)})
 
 
 # -- the four symbolic routes -------------------------------------------------
@@ -151,7 +154,9 @@ def _padded_parts(diagram: YoungDiagram, g: int) -> tuple[int, ...]:
 
 
 def schur_bialternant(diagram: YoungDiagram, g: int) -> SparsePolynomial:
-    """Alternant ratio; the exact division doubles as a self-check."""
+    """Alternant |t_j^(L_i + g - i)| divided by each factor t_i - t_j of the
+    Vandermonde, i < j in lexicographic order; every exact division doubles
+    as a self-check."""
     if g == 0:
         return SparsePolynomial.one("t")
     parts = _padded_parts(diagram, g)
@@ -159,14 +164,14 @@ def schur_bialternant(diagram: YoungDiagram, g: int) -> SparsePolynomial:
         [SparsePolynomial.variable("t", j, parts[i - 1] + g - i) for j in range(1, g + 1)]
         for i in range(1, g + 1)
     ]
-    den = [
-        [SparsePolynomial.variable("t", j, g - i) for j in range(1, g + 1)]
-        for i in range(1, g + 1)
-    ]
+    quotient = det(num)
     try:
-        return exact_divide(det(num), det(den))
+        for i, j in combinations(range(1, g + 1), 2):
+            factor = SparsePolynomial.variable("t", i) - SparsePolynomial.variable("t", j)
+            quotient = exact_divide(quotient, factor)
     except InexactDivisionError as exc:  # pragma: no cover - mathematically impossible
         raise InternalConsistencyError("Vandermonde does not divide the alternant") from exc
+    return quotient
 
 
 @lru_cache(maxsize=4)
@@ -291,10 +296,10 @@ def _schur_in_T_cached(parts: tuple[int, ...], sig: CurveSignature) -> SchurForm
     diagram = YoungDiagram(parts)
     hooks = u_weights(sig)
 
+    if not parts:
+        one = SparsePolynomial.one
+        return SchurForm(diagram, one("t"), one("T"), one("u"))
     if parts == lam.parts:
-        if g == 0:
-            one_T = SparsePolynomial.one("T")
-            return SchurForm(diagram, SparsePolynomial.one("t"), one_T, SparsePolynomial.one("u"))
         matrix = [
             [h_from_T(lam.part(i) + j - i) for j in range(1, g + 1)]
             for i in range(1, g + 1)
@@ -313,22 +318,14 @@ def _schur_in_T_cached(parts: tuple[int, ...], sig: CurveSignature) -> SchurForm
                 )
         renaming = {hooks[i - 1]: i for i in range(1, g + 1)}
         as_u = as_T.rename_variables(renaming, "u")
-        return SchurForm(diagram, schur_jacobi_trudi(diagram, g), as_T, as_u)
+        return SchurForm(diagram, schur_bialternant(diagram, g), as_T, as_u)
 
     k = len(parts)
-    if k == 0:
-        return SchurForm(
-            diagram,
-            SparsePolynomial.one("t"),
-            SparsePolynomial.one("T"),
-            SparsePolynomial.one("u"),
-        )
-
     full = _schur_in_T_cached(lam.parts, sig)
     derivative = full.as_T
     for i in natural_k(sig, k):
         derivative = derivative.partial_derivative(hooks[i - 1])
-    as_t = schur_jacobi_trudi(diagram, k)
+    as_t = schur_bialternant(diagram, k)
 
     # The natural-set derivative restricts to the head Schur polynomial up to
     # a global sign; measure it on one positive point of the level-k locus,
@@ -426,8 +423,7 @@ def bialternant_value(diagram: YoungDiagram, g: int, values) -> Fraction:
     parts = _padded_parts(diagram, g)
     vals = [Fraction(v) for v in values]
     num = [[vals[j] ** (parts[i] + g - i - 1) for j in range(g)] for i in range(g)]
-    den = [[vals[j] ** (g - i - 1) for j in range(g)] for i in range(g)]
-    d = _det_bareiss(den)
+    d = prod(vals[i] - vals[j] for i, j in combinations(range(g), 2))
     if not d:
         raise ZeroDivisionError("evaluation points must be pairwise distinct")
     return _det_bareiss(num) / d

@@ -127,9 +127,10 @@ class YoungDiagram:
         return sum(self.parts)
 
     def conjugate(self) -> "YoungDiagram":
-        if not self.parts:
-            return self
-        cols = [sum(1 for p in self.parts if p >= j) for j in range(1, self.parts[0] + 1)]
+        # Column j has length i for p_(i+1) < j <= p_i; read rows bottom-up.
+        cols: list[int] = []
+        for i in range(len(self.parts), 0, -1):
+            cols += [i] * (self.parts[i - 1] - len(cols))
         return YoungDiagram(tuple(cols))
 
     def contains(self, row: int, col: int) -> bool:

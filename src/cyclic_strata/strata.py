@@ -18,6 +18,7 @@ Two facts are used as internal cross-checks and exposed to the test suite:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .semigroup import CurveSignature, YoungDiagram, pole_orders, u_weights, young_diagram
 
@@ -124,6 +125,12 @@ def characteristics(diagram: YoungDiagram) -> FrobeniusCharacteristics:
     return FrobeniusCharacteristics(legs, arms)
 
 
+@lru_cache(maxsize=1024)
+def _tail_characteristics(sig: CurveSignature, k: int) -> FrobeniusCharacteristics:
+    """Characteristics of the tail L^[k], shared by natural_k and stratum_profile."""
+    return characteristics(truncate_lower(young_diagram(sig), k))
+
+
 def n_k(sig: CurveSignature, k: int) -> int:
     """Count of pole orders N(l) <= g - k - 1; the tail rank."""
     g = sig.genus
@@ -143,9 +150,6 @@ def N_k_sum(sig: CurveSignature, k: int) -> int:
 
 def N_k_tail(sig: CurveSignature, k: int) -> int:
     """The same bound as the weight of the tail diagram."""
-    g = sig.genus
-    if not 0 <= k <= g:
-        raise ValueError(f"k must lie in [0, {g}], got {k}")
     return truncate_lower(young_diagram(sig), k).weight()
 
 
@@ -178,12 +182,11 @@ def natural_k(sig: CurveSignature, k: int) -> tuple[int, ...]:
         raise ValueError(f"k must lie in [0, {g}], got {k}")
     if k == g:
         return ()
-    diagram = young_diagram(sig)
     hooks = u_weights(sig)
     if len(set(hooks)) != len(hooks):  # pragma: no cover - theory guarantees
         raise InternalConsistencyError("first-column hook lengths are not distinct")
     position = {value: idx + 1 for idx, value in enumerate(hooks)}
-    chars = characteristics(truncate_lower(diagram, k))
+    chars = _tail_characteristics(sig, k)
     indices = []
     for target in chars.hooks():
         l = position.get(target)
@@ -257,7 +260,7 @@ def stratum_profile(sig: CurveSignature, k: int) -> StratumProfile:
     g = sig.genus
     if not 0 <= k <= g:
         raise ValueError(f"k must lie in [0, {g}], got {k}")
-    chars = characteristics(truncate_lower(young_diagram(sig), k))
+    chars = _tail_characteristics(sig, k)
     count = n_k(sig, k)
     if chars.rank != count:
         raise InternalConsistencyError(

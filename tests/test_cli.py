@@ -147,6 +147,35 @@ def test_certify_honours_max_expand_genus(capsys):
     assert (level["sweep"]["mode"], level["sweep"]["engine"]) == ("expanded", "rimhook")
 
 
+@pytest.mark.parametrize("flags", [("--trials", "0"), ("--trials", "-1"), ("--seed", "-5")])
+def test_certify_rejects_bad_trials_and_seed(capsys, flags):
+    code, out, err = run_cli(capsys, "certify", "2", "5", *flags)
+    assert code == 2
+    assert out == ""
+    assert err == "error: --trials must be >= 1 and --seed >= 0\n"
+
+
+def test_repeated_main_calls_do_not_leak_parsed_values(capsys):
+    # main reuses one parser; every call must still start from the defaults.
+    default_gaps = run_cli(capsys, "gaps", "2", "5")
+    default_certify = run_cli(capsys, "certify", "2", "5")
+    assert default_gaps[0] == default_certify[0] == 0
+    for _ in range(2):
+        code, out, _ = run_cli(capsys, "gaps", "2", "5", "--count", "2", "--format", "csv")
+        assert (code, out.splitlines()) == (0, ["n,N(n),phi_n", "0,0,1", "1,2,x"])
+        assert run_cli(capsys, "gaps", "2", "5") == default_gaps
+        code, _, _ = run_cli(capsys, "certify", "2", "5", "--trials", "1", "--seed", "7",
+                             "--format", "json")
+        assert code == 0
+        with pytest.raises(SystemExit) as info:
+            cli.main(["gaps", "2", "5", "--count"])
+        assert info.value.code == 2
+        capsys.readouterr()
+        assert run_cli(capsys, "certify", "2", "5") == default_certify
+        assert run_cli(capsys, "certify", "2", "5", "--seed", "-1")[0] == 2
+        assert run_cli(capsys, "gaps", "2", "5") == default_gaps
+
+
 def test_certify_genus_24(capsys):
     # (7,9) has genus 24, beyond the old sampled-evaluation limit of 16.
     code, out, err = run_cli(capsys, "certify", "7", "9", "--k", "23")

@@ -209,6 +209,8 @@ def test_inexact_division_raises():
         # the quotient would need t1^800, past the dividend's t1^300
         (T2 * T1 ** 300, T2 + T1 ** 500),
         (T1 * T2 + Poly.one("t"), T1 + T2),
+        # a Vandermonde factor, as the bialternant divides by
+        (T1 ** 2 + T2, T1 - T2),
     ]:
         with pytest.raises(InexactDivisionError):
             exact_divide(p, q)

@@ -157,6 +157,26 @@ def test_route_equality_small_signatures():
             assert schur_split_trudi(lam, g, k) == reference
 
 
+def partitions(n, largest=None):
+    """Every partition of n into parts of at most ``largest``, as tuples."""
+    largest = n if largest is None else largest
+    if n == 0:
+        yield ()
+        return
+    for first in range(min(n, largest), 0, -1):
+        for rest in partitions(n - first, first):
+            yield (first,) + rest
+
+
+def test_bialternant_matches_jacobi_trudi_on_small_partitions():
+    # Jacobi-Trudi is the oracle of the factor-by-factor division.
+    for n in range(11):
+        for parts in partitions(n):
+            nu = YoungDiagram(parts)
+            for k in range(len(parts), 6):
+                assert schur_bialternant(nu, k) == schur_jacobi_trudi(nu, k), (parts, k)
+
+
 def test_route_equality_non_curve_diagram():
     # the identities are general; try a non-curve partition too
     d = YoungDiagram((3, 1, 1))
@@ -248,6 +268,28 @@ def test_schur_in_T_truncations():
                 m: power_sum_polynomial(m, 1, k) for m in form.as_T.variables()
             }
             assert form.as_T.substitute(image) == form.as_t
+
+
+def test_schur_in_T_t_form_matches_jacobi_trudi():
+    # as_t comes from the bialternant; Jacobi-Trudi is the oracle.
+    for r, s in [(2, 5), (2, 7), (2, 9), (3, 4), (3, 5), (4, 5), (2, 11)]:
+        sig = CurveSignature(r, s)
+        for k in range(sig.genus + 1):
+            head = truncate_upper(young_diagram(sig), k)
+            assert schur_in_T(head, sig).as_t == schur_jacobi_trudi(head, k), (r, s, k)
+
+
+def test_schur_in_T_reaches_genus_7():
+    sig = CurveSignature(3, 8)
+    lam = young_diagram(sig)
+    form = schur_in_T(lam, sig, max_expand_genus=7)
+    values = [Fraction(3), Fraction(-1, 2), Fraction(5, 3), Fraction(2),
+              Fraction(-7, 4), Fraction(1, 5), Fraction(4)]
+    point = {i + 1: v for i, v in enumerate(values)}
+    expected = jacobi_trudi_value(lam, sig.genus, values)
+    assert form.as_t.evaluate(point) == expected
+    power_sums = {m: sum(v ** m for v in values) / m for m in form.as_T.variables()}
+    assert form.as_T.evaluate(power_sums) == expected
 
 
 def test_schur_in_T_rejects_foreign_diagrams():
