@@ -17,6 +17,7 @@ only `mu` deals in floats.
 from __future__ import annotations
 
 import argparse
+import cmath
 import csv
 import io
 import json
@@ -258,18 +259,18 @@ def cmd_mu(args) -> int:
         raw_points = [
             (complex(xr, xi), complex(yr, yi)) for xr, xi, yr, yi in points_spec
         ]
+        if not all(map(cmath.isfinite, [*lambdas, *(z for point in raw_points for z in point)])):
+            raise ValueError("lambdas and coordinates must be finite")
     except (KeyError, TypeError, ValueError) as exc:
         raise SystemExit2(f"malformed curve/points file: {exc}")
     try:
         points = [affine_point(curve, x, y) for x, y in raw_points]
-    except OffCurveError as exc:
-        print(f"tolerance failure: {exc}", file=sys.stderr)
-        return EXIT_TOLERANCE
-    try:
         result = mu_coeffs(curve, points)
-    except SpecialDivisorError as exc:
+    except (OffCurveError, SpecialDivisorError, OverflowError) as exc:
         print(f"tolerance failure: {exc}", file=sys.stderr)
         return EXIT_TOLERANCE
+    except ValueError as exc:  # no points, or repeated points
+        raise SystemExit2(str(exc))
     residuals = [
         abs(result.value(p)) / max(result.value_scale(p), 1e-300) for p in points
     ]

@@ -79,7 +79,7 @@ class AffinePoint:
 def affine_point(curve: CurveInstance, x: complex, y: complex) -> AffinePoint:
     residual = abs(y ** curve.signature.r - curve.f(x))
     point = AffinePoint(complex(x), complex(y), residual)
-    if residual > ON_CURVE_TOL * max(1.0, abs(y) ** curve.signature.r):
+    if not residual <= ON_CURVE_TOL * max(1.0, abs(y) ** curve.signature.r):  # NaN fails
         raise OffCurveError(f"point ({x}, {y}) misses the curve by {residual:.3e}")
     return point
 

@@ -49,16 +49,25 @@ rows bottom-up -- this is essentially free when the lower rows are sparse,
 which is the shape of every Jacobi-Trudi style matrix in this package.  It
 has no size dispatch: polynomial Bareiss, whose every step is an exact
 division, took about 100 times as long on the 7x7 alternants of (2, 15).
-Fraction-free Bareiss elimination (:func:`_det_bareiss`) serves only the
-exact-number value routes, over ``Fraction``.
+The exact-number value routes use :func:`_det_bareiss`, integer-preserving
+Bareiss elimination on rows scaled by the lcm of their denominators (0.06 s
+against 0.21 s over ``Fraction`` on the ``routes`` value determinants).
 
 Performance notes
 -----------------
-A product of at least 25,000 term pairs runs in numpy when every key is below
-2**60 (at most 6 variables) and every coefficient is an ``int`` small enough
-that no merged sum can overflow int64: the keys are added in an outer sum as
-they are, and terms are merged with a sort/reduce.  Every other product runs
-the dict loop.  Both are exact.
+A product of at least 1,500 term pairs, with at most 6 variables (keys below
+2**60) and ``int`` coefficients, runs in numpy when each term pair fits one
+int64; every other product runs the dict loop.  Both are exact.  The packing
+(Monagan & Pearce, ISSAC 2009): with radius ``R_v = maxexp_v(a) +
+maxexp_v(b) + 1``, a monomial's index ``sum(e_v * prod(R_u, u < v))`` orders
+monomials as their keys do, and a term pair is ``index << shift | (c1*c2 +
+bias)`` with ``shift = 62 - bit_length(prod(R_v))`` and ``bias = max|c1| *
+max|c2|``.  It fits when ``2 * bias < 2**shift`` and no merged sum can
+overflow (``bias * min(len(a), len(b)) < 2**62``); :func:`_vectorizable` is
+that rule.  One in-place sort orders the pairs, ``reduceat`` merges equal
+indices, and ``divmod`` over the radii decodes them to keys.  The cutoff is
+the measured crossover on the ``routes`` products (2 cores, Python 3.11):
+packed won 10 of 11 products of 1,500-2,000 pairs, and the paths tied below.
 """
 
 from __future__ import annotations
@@ -66,6 +75,7 @@ from __future__ import annotations
 import heapq
 from fractions import Fraction
 from functools import reduce
+from math import lcm, prod
 from operator import or_
 from types import MappingProxyType
 from typing import Iterable, Mapping, Union
@@ -87,7 +97,7 @@ class MissingAssignmentError(KeyError):
 
 
 class InexactDivisionError(ArithmeticError):
-    """Raised when an allegedly exact polynomial division leaves a remainder."""
+    """Raised when an allegedly exact division leaves a remainder."""
 
 
 class MultiIndex(tuple):
@@ -114,8 +124,9 @@ class MultiIndex(tuple):
 _BITS = 10
 _FIELD = (1 << _BITS) - 1
 _MAX_EXP = (1 << (_BITS - 1)) - 1
-_VECTOR_CUTOFF = 25_000
-_VECTOR_KEY_LIMIT = 1 << 60  # six fields; a sum of two keys fits an int64
+_VECTOR_CUTOFF = 1_500
+_VECTOR_KEY_LIMIT = 1 << 60  # at most six fields
+_FIELD_SHIFTS = np.arange(0, 60, _BITS, dtype=np.int64)
 
 
 def _encode(mono) -> int:
@@ -158,31 +169,55 @@ def _mono_str(m: MultiIndex, family: str) -> str:
     return "*".join(f"{family}{v}" if e == 1 else f"{family}{v}^{e}" for v, e in m)
 
 
-def _vectorizable(t1: dict, t2: dict) -> bool:
+def _vectorizable(t1: dict, t2: dict):
+    """The packed layout of ``t1 * t2``, or None for the dict loop."""
     if len(t1) * len(t2) < _VECTOR_CUTOFF:
-        return False
+        return None
     if max(t1) >= _VECTOR_KEY_LIMIT or max(t2) >= _VECTOR_KEY_LIMIT:
-        return False
+        return None
     if any(type(c) is not int for t in (t1, t2) for c in t.values()):
-        return False
+        return None
+    bias = max(map(abs, t1.values())) * max(map(abs, t2.values()))
     # reduceat adds at most min(len) products of bounded size
-    bound = max(map(abs, t1.values())) * max(map(abs, t2.values())) * min(len(t1), len(t2))
-    return bound < 2**62
+    if bias * min(len(t1), len(t2)) >= 2**62:
+        return None
+    e1, e2 = ((np.fromiter(t, np.int64, len(t))[:, None] >> _FIELD_SHIFTS) & _FIELD
+              for t in (t1, t2))
+    radii = (e1.max(axis=0) + e2.max(axis=0) + 1).tolist()
+    shift = 62 - prod(radii).bit_length()
+    if 2 * bias >= 1 << shift:
+        return None
+    return e1, e2, radii, shift, bias
 
 
-def _mul_vectorized(t1: dict, t2: dict) -> dict:
-    k1 = np.fromiter(t1, dtype=np.int64, count=len(t1))
-    c1 = np.fromiter(t1.values(), dtype=np.int64, count=len(t1))
-    k2 = np.fromiter(t2, dtype=np.int64, count=len(t2))
-    c2 = np.fromiter(t2.values(), dtype=np.int64, count=len(t2))
-    keys = (k1[:, None] + k2[None, :]).ravel()
-    coeffs = (c1[:, None] * c2[None, :]).ravel()
-    order = np.argsort(keys)
-    keys = keys[order]
-    starts = np.concatenate(([0], np.flatnonzero(np.diff(keys)) + 1))
-    sums = np.add.reduceat(coeffs[order], starts)
-    mask = sums != 0
-    return dict(zip(keys[starts][mask].tolist(), sums[mask].tolist()))
+def _mul_vectorized(t1: dict, t2: dict, layout) -> dict:
+    e1, e2, radii, shift, bias = layout
+    strides = np.cumprod([1] + radii[:-1], dtype=np.int64)
+    i1 = (e1 @ strides) << shift
+    i2 = (e2 @ strides) << shift
+    i2 += bias
+    # One int64 per term pair: index << shift | (c1*c2 + bias).
+    packed = np.empty((len(t1), len(t2)), dtype=np.int64)
+    np.multiply.outer(np.fromiter(t1.values(), dtype=np.int64, count=len(t1)),
+                      np.fromiter(t2.values(), dtype=np.int64, count=len(t2)), out=packed)
+    packed += i2[None, :]
+    packed += i1[:, None]
+    packed = packed.ravel()
+    packed.sort()
+    index = packed >> shift
+    packed &= (1 << shift) - 1
+    packed -= bias
+    starts = np.concatenate(([0], np.flatnonzero(index[1:] != index[:-1]) + 1))
+    index = index[starts]
+    sums = np.add.reduceat(packed, starts)
+    del packed
+    keep = sums != 0
+    index, sums = index[keep], sums[keep]
+    keys = np.zeros_like(index)
+    for v, radius in enumerate(radii):
+        index, e = np.divmod(index, radius)
+        keys |= e << (_BITS * v)
+    return dict(zip(keys.tolist(), sums.tolist()))
 
 
 def _mul_dict(t1: dict, t2: dict) -> dict:
@@ -329,7 +364,8 @@ class SparsePolynomial:
         t1, t2 = self._terms, other._terms
         if not t1 or not t2:
             return SparsePolynomial.zero(self.family)
-        out = _mul_vectorized(t1, t2) if _vectorizable(t1, t2) else _mul_dict(t1, t2)
+        layout = _vectorizable(t1, t2)
+        out = _mul_vectorized(t1, t2, layout) if layout else _mul_dict(t1, t2)
         # Each exponent is at most 511, so a sum of two never carries out of
         # its field, but it can reach the guard bit.
         used = reduce(or_, out, 0)
@@ -406,11 +442,10 @@ class SparsePolynomial:
 
         result = SparsePolynomial.zero(target)
         for m, c in self._terms.items():
+            # The coefficient comes last, so integer images multiply as ints.
             factors = sorted((power(v, e) for v, e in _decode(m)), key=len)
-            term = SparsePolynomial.constant(target, c)
-            for f in factors:
-                term = term * f
-            result = result + term
+            term = reduce(SparsePolynomial.__mul__, factors, SparsePolynomial.one(target))
+            result = result + term.scale(c)
         return result
 
     def rename_variables(self, mapping: Mapping[int, int], family: str) -> "SparsePolynomial":
@@ -544,13 +579,13 @@ def det(matrix) -> SparsePolynomial:
 
 
 def _det_bareiss(matrix) -> Fraction:
-    """Fraction-free Bareiss elimination over ``Fraction`` entries, for the
-    exact-number value routes; every ``/`` is exact and a 0x0 matrix has
-    determinant 1."""
+    """Exact determinant of ``int``/``Fraction`` entries by integer Bareiss; a
+    remainder raises :class:`InexactDivisionError`, and 0x0 gives 1."""
     n = len(matrix)
-    m = [list(row) for row in matrix]
+    scales = [lcm(*(x.denominator for x in row)) for row in matrix]
+    m = [[x.numerator * (d // x.denominator) for x in row] for row, d in zip(matrix, scales)]
     sign = 1
-    prev = Fraction(1)
+    prev = 1
     for k in range(n - 1):
         if not m[k][k]:
             pivot_row = next((i for i in range(k + 1, n) if m[i][k]), None)
@@ -558,10 +593,14 @@ def _det_bareiss(matrix) -> Fraction:
                 return Fraction(0)
             m[k], m[pivot_row] = m[pivot_row], m[k]
             sign = -sign
-        for i in range(k + 1, n):
+        top = m[k]
+        pivot = top[k]
+        for row in m[k + 1:]:
+            lead = row[k]
             for j in range(k + 1, n):
-                m[i][j] = (m[k][k] * m[i][j] - m[i][k] * m[k][j]) / prev
-        prev = m[k][k]
-    if n == 0:
-        return Fraction(1)
-    return m[-1][-1] if sign == 1 else -m[-1][-1]
+                q, r = divmod(pivot * row[j] - lead * top[j], prev)
+                if r:
+                    raise InexactDivisionError("Bareiss step left a remainder")
+                row[j] = q
+        prev = pivot
+    return Fraction(sign * m[-1][-1], prod(scales)) if n else Fraction(1)

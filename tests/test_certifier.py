@@ -1,6 +1,7 @@
 import json
 from fractions import Fraction
 from itertools import combinations_with_replacement
+from math import prod
 
 import pytest
 
@@ -23,7 +24,7 @@ from cyclic_strata.certifier import (
     trial_points,
 )
 from cyclic_strata.polynomials import SparsePolynomial
-from cyclic_strata.schur import power_sum_polynomial, schur_in_T
+from cyclic_strata.schur import schur_in_T
 from cyclic_strata.semigroup import CurveSignature, u_weights, young_diagram
 from cyclic_strata.strata import natural_k, natural_k_i
 
@@ -63,17 +64,25 @@ def test_derivative_on_stratum_examples():
 
 def substitute_route(sig, index_multiset):
     """Independent oracle: expand S in the u coordinates, differentiate, and
-    return a function of k substituting the level-k power sums."""
+    return a function of k substituting the level-k power sums.
+
+    u_i = p_(hook_i) / hook_i: each 1/hook_i is folded into the coefficients
+    first, so that the images substituted are the integer power sums.
+    """
     hooks = u_weights(sig)
     derivative = schur_in_T(young_diagram(sig), sig).as_u
     for i in index_multiset:
         derivative = derivative.partial_derivative(i)
+    folded = SparsePolynomial("u", {
+        m: Fraction(c, prod(hooks[i - 1] ** e for i, e in m)) for m, c in derivative.terms.items()
+    })
 
     def at_level(k):
-        if derivative.is_constant():  # substitute would keep the u family
-            return SparsePolynomial.constant("t", derivative.constant_value())
-        assignment = {i: power_sum_polynomial(hooks[i - 1], 1, k) for i in derivative.variables()}
-        return derivative.substitute(assignment)
+        if folded.is_constant():  # substitute would keep the u family
+            return SparsePolynomial.constant("t", folded.constant_value())
+        assignment = {i: SparsePolynomial("t", {((v, hooks[i - 1]),): 1 for v in range(1, k + 1)})
+                      for i in folded.variables()}
+        return folded.substitute(assignment)
 
     return at_level
 

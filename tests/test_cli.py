@@ -212,11 +212,13 @@ def test_mu_command(capsys, tmp_path):
 
 def test_mu_off_curve_exit_code(capsys, tmp_path):
     curve_path, points_path = write_curve_files(tmp_path)
-    points_path.write_text(json.dumps([[0.4, 0.0, 99.0, 0.0]]))
-    code, _, err = run_cli(capsys, "mu", "--curve", str(curve_path),
-                           "--points", str(points_path))
-    assert code == 4
-    assert "tolerance" in err
+    # off the curve; f(x) overflowing to NaN; y^2 overflowing
+    for point in [[0.4, 0.0, 99.0, 0.0], [1e300, 0.0, 0.0, 0.0], [0.0, 0.0, 1e200, 0.0]]:
+        points_path.write_text(json.dumps([point]))
+        code, _, err = run_cli(capsys, "mu", "--curve", str(curve_path),
+                               "--points", str(points_path))
+        assert code == 4
+        assert "tolerance" in err
 
 
 def test_mu_malformed_input_exit_code(capsys, tmp_path):
@@ -225,6 +227,23 @@ def test_mu_malformed_input_exit_code(capsys, tmp_path):
     code, _, err = run_cli(capsys, "mu", "--curve", str(curve_path),
                            "--points", str(points_path))
     assert code == 2
+
+
+@pytest.mark.parametrize("points", [
+    "[]",
+    "[[0, 0, 0, 0], [0, 0, 0, 0]]",
+    "[[1e400, 0, 0, 0]]",
+    "[[NaN, 0, 0, 0]]",
+])
+def test_mu_rejects_empty_repeated_or_non_finite_points(capsys, tmp_path, points):
+    # (0, 0) lies on y^2 = x^5 + 4x^4 + 3x^3 + 2x^2 + x, so only the rule can reject it.
+    curve_path, points_path = tmp_path / "curve.json", tmp_path / "points.json"
+    curve_path.write_text('{"r": 2, "s": 5, "lambdas": [[0, 0], [1, 0], [2, 0], [3, 0], [4, 0]]}')
+    points_path.write_text(points)
+    code, out, err = run_cli(capsys, "mu", "--curve", str(curve_path),
+                             "--points", str(points_path))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ")
 
 
 def test_mu_has_no_format_flag(tmp_path):

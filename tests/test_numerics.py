@@ -61,6 +61,9 @@ def test_affine_point_residual_check():
         affine_point(CURVE_25, 0.0, 1.5)
     good = affine_point(CURVE_25, 0.0, 1.0)
     assert good.residual <= 1e-10
+    # f(1e300) overflows to NaN, and a NaN residual must not pass the check
+    with pytest.raises(OffCurveError):
+        affine_point(CURVE_25, 1e300, 0.0)
 
 
 def test_fs_examples():

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from itertools import permutations
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -10,6 +11,7 @@ from cyclic_strata.polynomials import (
     MissingAssignmentError,
     MultiIndex,
     SparsePolynomial as Poly,
+    _det_bareiss,
     _vectorizable,
     det,
     exact_divide,
@@ -158,6 +160,47 @@ def test_bareiss_matches_cofactor():
         assert det(m7) == expansion
 
 
+def _leibniz(matrix):
+    total = Fraction(0)
+    for perm in permutations(range(len(matrix))):
+        inversions = sum(perm[i] > perm[j] for i in range(len(perm)) for j in range(i + 1, len(perm)))
+        term = Fraction((-1) ** inversions)
+        for i, j in enumerate(perm):
+            term *= matrix[i][j]
+        total += term
+    return total
+
+
+def test_integer_bareiss_matches_leibniz():
+    rng = random.Random(37)
+
+    def entry():
+        roll = rng.random()
+        if roll < 0.25:
+            return 0
+        if roll < 0.6:
+            return rng.randint(-6, 6)
+        return Fraction(rng.randint(-20, 20), rng.randint(1, 12))
+
+    for trial in range(60):
+        n = rng.randint(1, 6)
+        m = [[entry() for _ in range(n)] for _ in range(n)]
+        if trial % 3 == 0 and n > 1:
+            # zero leading pivots: the first columns vanish on the diagonal rows
+            for i in range(n - 1):
+                m[i][i] = 0
+            m[0][0], m[n - 1][0] = 0, Fraction(5, 7)
+        if trial % 5 == 0 and n > 1:
+            m[-1] = [x * 3 for x in m[0]]  # singular
+        got = _det_bareiss(m)
+        assert type(got) is Fraction
+        assert got == _leibniz(m), m
+    assert _det_bareiss([]) == 1 and type(_det_bareiss([])) is Fraction
+    assert type(_det_bareiss([[4]])) is Fraction
+    assert _det_bareiss([[0, 1], [1, 0]]) == -1
+    assert _det_bareiss([[0, 1], [0, 2]]) == 0
+
+
 # -- property tests -------------------------------------------------------------
 
 
@@ -257,8 +300,64 @@ def test_large_products_match_tuple_oracle():
     ]
     for a, b, vectorized in cases:
         assert len(a) * len(b) >= 25_000
-        assert _vectorizable(a._terms, b._terms) == vectorized
+        assert (_vectorizable(a._terms, b._terms) is not None) == vectorized
         assert dict((a * b).terms) == _oracle_product(a, b)
+
+
+def test_packed_product_under_25k_term_pairs():
+    rng = random.Random(23)
+    a = _random_poly(rng, 90, 5, 6, -30, 30)
+    b = _random_poly(rng, 80, 5, 6, -30, 30)
+    assert 5_000 <= len(a) * len(b) < 25_000
+    assert _vectorizable(a._terms, b._terms) is not None
+    assert dict((a * b).terms) == _oracle_product(a, b)
+    small = _random_poly(rng, 10, 5, 6, -30, 30)
+    assert len(small) * len(b) < 1_500
+    assert _vectorizable(small._terms, b._terms) is None
+
+
+def test_packed_product_cancels_mixed_signs():
+    # (sum of t1^i t2^j, i, j < 50) * (1 - t1) telescopes to 100 terms, and
+    # the alternating grid times t1 - t2 keeps only its border
+    a = Poly("t", {MultiIndex([(1, i), (2, j)]): 1 for i in range(50) for j in range(50)})
+    b = Poly.one("t") - T1
+    c = Poly("t", {MultiIndex([(1, i), (2, j)]): (-1) ** (i + j) for i in range(50)
+                   for j in range(50)})
+    for p, q, size in [(a, b, 100), (c, T1 - T2, 198)]:
+        assert _vectorizable(p._terms, q._terms) is not None
+        product = p * q
+        assert dict(product.terms) == _oracle_product(p, q)
+        assert len(product) == size
+
+
+def test_packed_product_coefficient_bound():
+    # Both factors reach t1^49 t2^49: radii 99 and 99, so the index takes 14
+    # bits and the coefficient field 48, and 2*max|c1|*max|c2| < 2^48 must hold.
+    rng = random.Random(29)
+    corner = MultiIndex([(1, 49), (2, 49)])
+    grid = {MultiIndex([(1, i), (2, j)]): rng.randint(-9, 9) for i in range(50) for j in range(50)}
+    sparse = {MultiIndex([(1, rng.randint(0, 49)), (2, rng.randint(0, 49))]): rng.choice([-1, 1])
+              for _ in range(9)}
+    for c1, c2, packed in [
+        (2351 * 4513, -13264529, True),  # product 2^47 - 1
+        (-(2 ** 23), 2 ** 24, False),  # product 2^47
+    ]:
+        a = Poly("t", {**grid, corner: c1})
+        b = Poly("t", {**sparse, corner: c2})
+        assert (_vectorizable(a._terms, b._terms) is not None) == packed
+        assert dict((a * b).terms) == _oracle_product(a, b)
+
+
+def test_packed_product_with_wide_exponents():
+    # t6^300 * t6^200 widens the t6 radius from 11 to 501, which narrows the
+    # coefficient field from 41 to 35 bits.
+    rng = random.Random(31)
+    a = _random_poly(rng, 120, 6, 5, -10**4, 10**4) + Poly.variable("t", 6, 300)
+    b = _random_poly(rng, 60, 6, 5, -10**4, 10**4) + Poly.variable("t", 6, 200).scale(-7)
+    assert _vectorizable(a._terms, b._terms) is not None
+    product = a * b
+    assert dict(product.terms) == _oracle_product(a, b)
+    assert product.terms[MultiIndex([(6, 500)])] == -7
 
 
 def test_exact_division_roundtrip_in_eight_variables():
