@@ -58,12 +58,10 @@ from .certifier import (
     CertificationError,
     DerivativeCertificate,
     HookHierarchy,
-    StratumRestriction,
     SweepReport,
     build_hierarchy,
     certify_g_power,
     certify_natural,
-    derivative_on_stratum,
     sub_vanishing_sweep,
     trial_points,
 )

@@ -1,8 +1,11 @@
 """Derivative-vanishing certificates on the strata of the curve diagram.
 
-The object under test is the power-sum form S of the full curve Schur
-polynomial (``schur_in_T``), whose variables ``u_1..u_g`` carry weights equal
-to the first-column hook lengths.  Level k of the stratification restricts S
+The object under test is S, the Schur function of the full curve diagram in
+the stratum coordinates ``u_i = T_(hook_i)``, whose weights are the
+first-column hook lengths.  S is never expanded here: the certificates and
+:func:`~cyclic_strata.schur.schur_in_T`, which expands S below the genus
+gate, run one Murnaghan-Nakayama bead walk, kept in
+:mod:`cyclic_strata.schur`.  Level k of the stratification restricts S
 to ``u_i = (1/hook_i) (t_1^hook_i + ... + t_k^hook_i)`` for k free parameters
 ``t_1..t_k``.  The certified statements, for 1 <= k < g:
 
@@ -27,8 +30,9 @@ S is the Schur function s_L written in ``T_m = p_m/m``, so
 (Macdonald, *Symmetric Functions and Hall Polynomials*, I.3 Ex. 11) that
 operator sends s_mu to the signed sum of s_(mu - xi) over the rim hooks xi of
 size hook_i.  The hooks are the beta-numbers of L, so on a g-bead abacus (an
-int bit mask) removing an m-rim hook moves one bead from x to x - m with sign
-(-1)^(beads strictly between).  A derivative is thus a signed combination
+int bit mask, ``schur._beads``) removing an m-rim hook moves one bead from x
+to x - m with sign (-1)^(beads strictly between) (``schur._remove_rim_hooks``).
+A derivative is thus a signed combination
 ``sum c_nu s_nu``; on level k it restricts to ``sum c_nu s_nu(t_1..t_k)`` over
 the *survivors* l(nu) <= k, which are linearly independent.  Hence a
 derivative vanishes on level k iff nothing survives, and it is a constant
@@ -58,8 +62,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
 
-from .polynomials import SparsePolynomial
-from .schur import jacobi_trudi_value, schur_bialternant
+from .schur import _beads, _partition, _remove_rim_hooks, jacobi_trudi_value
 from .semigroup import CurveSignature, YoungDiagram, u_weights, young_diagram
 from .strata import (
     InternalConsistencyError,
@@ -89,28 +92,6 @@ class CertificationError(Exception):
         self.index_multiset = index_multiset
         self.point = point
         self.survivors = survivors
-
-
-@dataclass(frozen=True)
-class StratumRestriction:
-    """k seeded parameters and the g stratum coordinate values they induce."""
-
-    k: int
-    t_points: tuple[Fraction, ...]
-    u_values: tuple[Fraction, ...]
-
-    @classmethod
-    def from_signature(cls, sig: CurveSignature, k: int, t_points) -> "StratumRestriction":
-        points = tuple(Fraction(t) for t in t_points)
-        if len(points) != k:
-            raise ValueError(f"need exactly {k} parameter values, got {len(points)}")
-        if len(set(points)) != len(points) or any(t == 0 for t in points):
-            raise ValueError("parameter values must be pairwise distinct and nonzero")
-        hooks = u_weights(sig)
-        u_values = tuple(
-            Fraction(sum(t**h for t in points), h) if points else Fraction(0) for h in hooks
-        )
-        return cls(k, points, u_values)
 
 
 @dataclass(frozen=True)
@@ -213,35 +194,6 @@ def trial_points(k: int, trial: int, seed: int = 0) -> tuple[Fraction, ...]:
 # -- rim-hook engine -----------------------------------------------------------
 
 
-def _beads(sig: CurveSignature) -> int:
-    """Bead mask of the curve diagram: its beta-numbers are the hooks."""
-    return sum(1 << h for h in u_weights(sig))
-
-
-def _remove_rim_hooks(state: dict[int, int], m: int) -> dict[int, int]:
-    """p_m^perp on a signed combination of bead masks (Murnaghan-Nakayama).
-
-    Each bead x with x - m free moves there, with sign (-1)^(beads strictly
-    between); terms that cancel are dropped, so an empty result is zero.
-    """
-    out: dict[int, int] = {}
-    between = (1 << (m - 1)) - 1
-    for mask, c in state.items():
-        movable = (mask >> m) & ~mask  # bit j: a bead at j + m and none at j
-        while movable:
-            low = movable & -movable
-            movable ^= low
-            j = low.bit_length() - 1
-            target = mask ^ low ^ (low << m)
-            odd = ((mask >> (j + 1)) & between).bit_count() & 1
-            total = out.get(target, 0) + (-c if odd else c)
-            if total:
-                out[target] = total
-            else:
-                del out[target]
-    return out
-
-
 @lru_cache(maxsize=1 << 16)
 def _rows_below(mask: int, g: int, k: int) -> int:
     """Boxes of the partition below row k: the sum of its g - k smallest
@@ -258,11 +210,6 @@ def _rows_below(mask: int, g: int, k: int) -> int:
 def _prune(state: dict[int, int], g: int, k: int, budget: int) -> dict[int, int]:
     """Drop the terms that removing ``budget`` more boxes cannot bring to l <= k."""
     return {mask: c for mask, c in state.items() if _rows_below(mask, g, k) <= budget}
-
-
-def _partition(mask: int) -> tuple[int, ...]:
-    beads = [x for x in range(mask.bit_length()) if mask >> x & 1]
-    return tuple(p for p in reversed([b - i for i, b in enumerate(beads)]) if p)
 
 
 @lru_cache(maxsize=4096)
@@ -291,11 +238,6 @@ def _schur_sum_value(survivors: dict, k: int, point) -> Fraction:
          for nu, c in survivors.items()),
         Fraction(0),
     )
-
-
-@lru_cache(maxsize=256)
-def _schur_poly(nu: tuple[int, ...], k: int) -> SparsePolynomial:
-    return schur_bialternant(YoungDiagram(nu), k)
 
 
 def _sorted_index(sig: CurveSignature, index_multiset) -> tuple[int, ...]:
@@ -346,32 +288,6 @@ def _vanishing_walk(sig: CurveSignature, k: int, first: int, bound: int, points)
     if bound > 0:
         visit({_beads(sig): 1}, (), first)
     return checked
-
-
-def derivative_on_stratum(
-    sig: CurveSignature,
-    k: int,
-    index_multiset,
-    restriction: StratumRestriction,
-) -> Fraction:
-    """Exact value of (prod d/du_i) S at the restriction's stratum point:
-    ``sum c_nu s_nu(t_points)`` over the rim-hook survivors."""
-    if restriction.k != k:
-        raise ValueError("restriction was built for a different level")
-    index = _sorted_index(sig, index_multiset)
-    return _schur_sum_value(_survivors(sig, k, index), k, restriction.t_points)
-
-
-def restricted_derivative_poly(sig: CurveSignature, k: int, index_multiset) -> SparsePolynomial:
-    """(prod d/du_i) S restricted to level k, as a polynomial in t_1..t_k.
-
-    Built as ``sum c_nu s_nu(t_1..t_k)`` over the survivors, without
-    expanding S, so it has no genus gate.
-    """
-    total = SparsePolynomial.zero("t")
-    for nu, c in _survivors(sig, k, _sorted_index(sig, index_multiset)).items():
-        total = total + _schur_poly(nu, k).scale(c)
-    return total
 
 
 def _zero_certificate(sig, k, index, mode, points, trials) -> DerivativeCertificate:
@@ -435,7 +351,7 @@ def certify_natural(
     if trials < 1:
         raise ValueError("need at least one trial")
     nat = natural_k(sig, k)
-    index = nat if index_set is None else tuple(sorted(index_set, reverse=True))
+    index = nat if index_set is None else _sorted_index(sig, index_set)[::-1]
     canonical = index == nat
     mode, points = _mode_and_points(g, k, trials, seed, max_expand_genus)
     certificates = []

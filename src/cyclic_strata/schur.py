@@ -19,25 +19,34 @@ computed four independent ways, all of which must agree exactly:
 The three Trudi routes are the bialternant's independent oracles; the
 Jacobi-Trudi and split routes share the full-window minors ``_left_minors``.
 
-The complete homogeneous functions themselves come in two coordinate
-systems: :func:`h_complete` expands in the ``t`` variables while
-:func:`h_from_T` expresses h_n through the scaled power sums
+:func:`h_complete` expands the complete homogeneous functions in the ``t``
+variables.  :func:`h_from_T` writes h_n in the scaled power sums
 ``T_m = (1/m) sum t_i^m`` by Newton's recurrence
-``n h_n = sum_(m=1..n) m T_m h_(n-m)``.  Note the 1/m scaling: these are not
-the plain power sums.
+``n h_n = sum_(m=1..n) m T_m h_(n-m)`` (note the 1/m scaling: these are not
+the plain power sums); no route here uses it, and the tests build their
+determinant oracle of :func:`schur_in_T` from it.
 
 Power-sum form of the curve Schur polynomial
 --------------------------------------------
-For the diagram of a curve signature, rewriting the Jacobi-Trudi determinant
-through :func:`h_from_T` collapses onto the g variables ``T_(L_i + g - i)``
-indexed by the first-column hook lengths -- every other power sum cancels
-identically.  :func:`schur_in_T` performs the rewriting, asserts the
-collapse, and renames the surviving variables to the stratum coordinates
-``u_i = T_(L_i + g - i)``, e.g. for (2, 5): ``1/3*u2^3 - u1``.
+In ``T_m = p_m/m`` the Schur function is
+``s_L = sum_rho chi^L_rho / prod_j m_j(rho)! * prod_i T_(rho_i)``
+(Macdonald, *Symmetric Functions*, I.(7.8)), and the Murnaghan-Nakayama
+rule computes ``chi^L_rho`` as the signed count of ways to empty L by
+removing rim hooks of sizes ``rho_1, rho_2, ...``.  On a g-bead abacus (an
+int bit mask whose beads are the beta-numbers ``L_i + g - i``) removing an
+m-rim hook moves one bead from x to x - m with sign (-1)^(beads strictly
+between); the certifier runs the same walk.
 
-For a head truncation (first k rows) the same object is produced by applying
-the canonical derivative set of level k to the full form and normalizing by
-the hook factorials; restricted to the level-k locus it reproduces the
+For the diagram of a curve signature only the g power sums
+``T_(L_i + g - i)`` indexed by the first-column hook lengths occur.
+:func:`schur_in_T` therefore sums over multisets of hooks alone, depth first
+like the certifier's sweeps, and names the variables by the stratum
+coordinates ``u_i = T_(L_i + g - i)``, e.g. for (2, 5): ``1/3*u2^3 - u1``.
+
+For a head truncation (first k rows) the walk starts from the combination
+``sum c_nu s_nu`` left by the canonical derivative set of level k, i.e. by
+removing its hooks, and is scaled by the head diagram's coefficient
+``c_head = +/-1``; restricted to the level-k locus it reproduces the
 k-variable Schur polynomial of the truncated diagram.
 
 Large genus
@@ -49,14 +58,16 @@ points, which is how route agreement is checked for e.g. (5, 7) at genus 12.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
-from math import prod
+from math import factorial, prod
 
 from .polynomials import (
     InexactDivisionError,
+    MultiIndex,
     SparsePolynomial,
     _det_bareiss,
     det,
@@ -135,13 +146,6 @@ def h_from_T(n: int) -> SparsePolynomial:
     for m in range(1, n + 1):
         total = total + (SparsePolynomial.variable("T", m) * h_from_T(n - m)).scale(m)
     return total.scale(Fraction(1, n))
-
-
-def power_sum_polynomial(m: int, lo: int, hi: int) -> SparsePolynomial:
-    """T_m over the window as a t-polynomial: (1/m) (t_lo^m + ... + t_hi^m)."""
-    if m < 1:
-        raise ValueError("power-sum index must be >= 1")
-    return SparsePolynomial("t", {((v, m),): Fraction(1, m) for v in range(lo, hi + 1)})
 
 
 # -- the four symbolic routes -------------------------------------------------
@@ -286,12 +290,72 @@ def h_recursion_check(n: int, m: int | None, l1: int, l2: int) -> tuple[bool, bo
     return (part1, part2, part3)
 
 
+# -- Murnaghan-Nakayama bead walk ----------------------------------------------
+
+
+def _beads(sig: CurveSignature) -> int:
+    """Bead mask of the curve diagram: its beta-numbers are the hooks."""
+    return sum(1 << h for h in u_weights(sig))
+
+
+def _partition(mask: int) -> tuple[int, ...]:
+    beads = [x for x in range(mask.bit_length()) if mask >> x & 1]
+    return tuple(p for p in reversed([b - i for i, b in enumerate(beads)]) if p)
+
+
+def _remove_rim_hooks(state: dict[int, int], m: int) -> dict[int, int]:
+    """p_m^perp on a signed combination of bead masks (Murnaghan-Nakayama).
+
+    Each bead x with x - m free moves there, with sign (-1)^(beads strictly
+    between); terms that cancel are dropped, so an empty result is zero.
+    """
+    out: dict[int, int] = {}
+    between = (1 << (m - 1)) - 1
+    for mask, c in state.items():
+        movable = (mask >> m) & ~mask  # bit j: a bead at j + m and none at j
+        while movable:
+            low = movable & -movable
+            movable ^= low
+            j = low.bit_length() - 1
+            target = mask ^ low ^ (low << m)
+            odd = ((mask >> (j + 1)) & between).bit_count() & 1
+            total = out.get(target, 0) + (-c if odd else c)
+            if total:
+                out[target] = total
+            else:
+                del out[target]
+    return out
+
+
+def _character_form(state: dict[int, int], hooks) -> SparsePolynomial:
+    """``sum_M chi(M) / prod_j m_j(M)! * u^M`` over the nondecreasing multisets
+    M of hook indices; chi(M) is the coefficient of the empty partition once
+    the rim hooks of M are removed from ``state``, a combination of partitions
+    of one size.
+    """
+    empty = (1 << len(hooks)) - 1
+    terms = {}
+
+    def visit(state, index, last):
+        if empty in state:  # then it is the only partition left
+            counts = Counter(index)
+            terms[MultiIndex(counts.items())] = Fraction(
+                state[empty], prod(map(factorial, counts.values())))
+            return
+        for j in range(last, len(hooks) + 1):
+            reduced = _remove_rim_hooks(state, hooks[j - 1])
+            if reduced:
+                visit(reduced, index + (j,), j)
+
+    visit(state, (), 1)
+    return SparsePolynomial("u", terms)
+
+
 # -- power-sum form of the curve Schur polynomial -----------------------------
 
 
 @lru_cache(maxsize=128)
 def _schur_in_T_cached(parts: tuple[int, ...], sig: CurveSignature) -> SchurForm:
-    g = sig.genus
     lam = young_diagram(sig)
     diagram = YoungDiagram(parts)
     hooks = u_weights(sig)
@@ -299,51 +363,22 @@ def _schur_in_T_cached(parts: tuple[int, ...], sig: CurveSignature) -> SchurForm
     if not parts:
         one = SparsePolynomial.one
         return SchurForm(diagram, one("t"), one("T"), one("u"))
-    if parts == lam.parts:
-        matrix = [
-            [h_from_T(lam.part(i) + j - i) for j in range(1, g + 1)]
-            for i in range(1, g + 1)
-        ]
-        as_T = det(matrix)
-        stray = as_T.variables() - set(hooks)
-        if stray:
+    state = {_beads(sig): 1}
+    sign = 1
+    if parts != lam.parts:
+        k = len(parts)
+        for i in natural_k(sig, k):
+            state = _remove_rim_hooks(state, hooks[i - 1])
+        sign = next((c for mask, c in state.items() if _partition(mask) == parts), 0)
+        if sign not in (1, -1):
             raise InternalConsistencyError(
-                f"power-sum form of ({sig.r},{sig.s}) uses undesignated variables {sorted(stray)}"
+                f"natural derivative for head truncation k={k} of ({sig.r},{sig.s}) "
+                f"carries the head diagram with coefficient {sign}, not +/-1"
             )
-        weight = lam.weight()
-        for mono in as_T.terms:
-            if sum(v * e for v, e in mono) != weight:
-                raise InternalConsistencyError(
-                    f"power-sum form of ({sig.r},{sig.s}) is not weighted-homogeneous"
-                )
-        renaming = {hooks[i - 1]: i for i in range(1, g + 1)}
-        as_u = as_T.rename_variables(renaming, "u")
-        return SchurForm(diagram, schur_bialternant(diagram, g), as_T, as_u)
-
-    k = len(parts)
-    full = _schur_in_T_cached(lam.parts, sig)
-    derivative = full.as_T
-    for i in natural_k(sig, k):
-        derivative = derivative.partial_derivative(hooks[i - 1])
-    as_t = schur_bialternant(diagram, k)
-
-    # The natural-set derivative restricts to the head Schur polynomial up to
-    # a global sign; measure it on one positive point of the level-k locus,
-    # where the k-variable Schur value is strictly positive.
-    point = {j: Fraction(j + 1) for j in range(1, k + 1)}
-    t_assign = {m: sum(point[j] ** m for j in point) / m for m in derivative.variables()}
-    measured = derivative.evaluate(t_assign) if not derivative.is_zero() else Fraction(0)
-    reference = as_t.evaluate(point)
-    if not reference or measured * measured != reference * reference:
-        raise InternalConsistencyError(
-            f"derivative route for head truncation k={k} of ({sig.r},{sig.s}) "
-            f"is not a unit multiple: {measured} vs +/-{reference}"
-        )
-    sign = 1 if measured == reference else -1
-    as_T = derivative.scale(sign)
-    renaming = {hooks[i - 1]: i for i in range(1, g + 1) if hooks[i - 1] in as_T.variables()}
-    as_u = as_T.rename_variables(renaming, "u")
-    return SchurForm(diagram, as_t, as_T, as_u)
+    as_u = _character_form(state, hooks).scale(sign)
+    as_T = as_u.rename_variables(dict(enumerate(hooks, start=1)), "T")
+    # A curve diagram has g rows, so len(parts) is g for the full form.
+    return SchurForm(diagram, schur_bialternant(diagram, len(parts)), as_T, as_u)
 
 
 def schur_in_T(

@@ -1,0 +1,58 @@
+"""Test oracles that share no code path with the routes they check.
+
+The determinant route of the power-sum form expands the Jacobi-Trudi
+determinant over ``h_from_T`` (Newton's recurrence in ``T_m = p_m/m``),
+checks that it collapses onto the hook-indexed variables and is weighted
+homogeneous, and reaches a head truncation by differentiating along the
+canonical index set, with the sign measured at one positive point.  The
+production ``schur_in_T`` builds the same forms from the Murnaghan-Nakayama
+bead walk instead.
+"""
+
+from fractions import Fraction
+from functools import lru_cache
+
+from cyclic_strata.polynomials import SparsePolynomial, det
+from cyclic_strata.schur import h_from_T, schur_bialternant
+from cyclic_strata.semigroup import CurveSignature, YoungDiagram, u_weights, young_diagram
+from cyclic_strata.strata import natural_k
+
+
+def power_sum_polynomial(m: int, lo: int, hi: int) -> SparsePolynomial:
+    """T_m over the window as a t-polynomial: (1/m) (t_lo^m + ... + t_hi^m)."""
+    return SparsePolynomial("t", {((v, m),): Fraction(1, m) for v in range(lo, hi + 1)})
+
+
+@lru_cache(maxsize=None)
+def determinant_power_sum_form(parts: tuple[int, ...], sig: CurveSignature):
+    """(as_T, as_u) of the curve diagram's head with these parts, by the
+    determinant route."""
+    g = sig.genus
+    lam = young_diagram(sig)
+    hooks = u_weights(sig)
+    renaming = {h: i for i, h in enumerate(hooks, start=1)}
+    if not parts:
+        return SparsePolynomial.one("T"), SparsePolynomial.one("u")
+    if parts == lam.parts:
+        as_T = det([
+            [h_from_T(lam.part(i) + j - i) for j in range(1, g + 1)]
+            for i in range(1, g + 1)
+        ])
+        assert as_T.variables() <= set(hooks), (sig, sorted(as_T.variables()))
+        for mono in as_T.terms:
+            assert sum(v * e for v, e in mono) == lam.weight(), (sig, mono)
+        return as_T, as_T.rename_variables(renaming, "u")
+
+    k = len(parts)
+    derivative = determinant_power_sum_form(lam.parts, sig)[0]
+    for i in natural_k(sig, k):
+        derivative = derivative.partial_derivative(hooks[i - 1])
+    # The natural-set derivative restricts to the head Schur polynomial up to
+    # a sign; measure it on a positive point, where the head value is positive.
+    point = {j: Fraction(j + 1) for j in range(1, k + 1)}
+    power_sums = {m: sum(x ** m for x in point.values()) / m for m in derivative.variables()}
+    measured = derivative.evaluate(power_sums) if not derivative.is_zero() else Fraction(0)
+    reference = schur_bialternant(YoungDiagram(parts), k).evaluate(point)
+    assert reference and measured in (reference, -reference), (sig, k, measured, reference)
+    as_T = derivative.scale(1 if measured == reference else -1)
+    return as_T, as_T.rename_variables(renaming, "u")

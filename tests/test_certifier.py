@@ -6,26 +6,25 @@ from math import prod
 import pytest
 
 from conftest import coprime_signatures
+from oracles import determinant_power_sum_form
 from cyclic_strata.certifier import (
     CertificationError,
-    StratumRestriction,
     _beads,
     _constant_multiple_certificate,
     _partition,
     _remove_rim_hooks,
+    _schur_sum_value,
     _survivors,
     _vanishing_walk,
     build_hierarchy,
     certify_g_power,
     certify_natural,
-    derivative_on_stratum,
-    restricted_derivative_poly,
     sub_vanishing_sweep,
     trial_points,
 )
 from cyclic_strata.polynomials import SparsePolynomial
-from cyclic_strata.schur import schur_in_T
-from cyclic_strata.semigroup import CurveSignature, u_weights, young_diagram
+from cyclic_strata.schur import schur_bialternant
+from cyclic_strata.semigroup import CurveSignature, YoungDiagram, u_weights, young_diagram
 from cyclic_strata.strata import natural_k, natural_k_i
 
 
@@ -42,24 +41,25 @@ def test_trial_points_are_distinct_nonzero():
     assert trial_points(2, 0, seed=5) != trial_points(2, 0, seed=6)
 
 
-def test_restriction_values():
-    r = StratumRestriction.from_signature(SIG25, 1, (Fraction(1, 2),))
-    # hooks of (2,5) are (3, 1): u1 = t^3/3, u2 = t
-    assert r.u_values == (Fraction(1, 24), Fraction(1, 2))
-    with pytest.raises(ValueError):
-        StratumRestriction.from_signature(SIG25, 2, (Fraction(1), Fraction(1)))
-    with pytest.raises(ValueError):
-        StratumRestriction.from_signature(SIG25, 1, (Fraction(0),))
+def derivative_value(sig, k, index, point):
+    """(prod d/du_i) S at a level-k point: sum c_nu s_nu(point) over the survivors."""
+    return _schur_sum_value(_survivors(sig, k, index), k, point)
+
+
+def restricted_poly(sig, k, index):
+    """(prod d/du_i) S on level k as a t-polynomial: sum c_nu s_nu(t_1..t_k)."""
+    total = SparsePolynomial.zero("t")
+    for nu, c in _survivors(sig, k, index).items():
+        total = total + schur_bialternant(YoungDiagram(nu), k).scale(c)
+    return total
 
 
 def test_derivative_on_stratum_examples():
     # On (2,5): S = u2^3/3 - u1; on the level-1 locus u1 = t^3/3, u2 = t.
-    r = StratumRestriction.from_signature(SIG25, 1, (Fraction(1, 2),))
-    assert derivative_on_stratum(SIG25, 1, (2,), r) == Fraction(1, 4)  # t^2
-    assert derivative_on_stratum(SIG25, 1, (), r) == 0
+    assert derivative_value(SIG25, 1, (2,), (Fraction(1, 2),)) == Fraction(1, 4)  # t^2
+    assert derivative_value(SIG25, 1, (), (Fraction(1, 2),)) == 0
     # at level g there is no restriction left: S itself is generically nonzero
-    rg = StratumRestriction.from_signature(SIG25, 2, (Fraction(1, 2), Fraction(1, 3)))
-    assert derivative_on_stratum(SIG25, 2, (), rg) != 0
+    assert derivative_value(SIG25, 2, (), (Fraction(1, 2), Fraction(1, 3))) != 0
 
 
 def substitute_route(sig, index_multiset):
@@ -70,7 +70,7 @@ def substitute_route(sig, index_multiset):
     first, so that the images substituted are the integer power sums.
     """
     hooks = u_weights(sig)
-    derivative = schur_in_T(young_diagram(sig), sig).as_u
+    derivative = determinant_power_sum_form(young_diagram(sig).parts, sig)[1]
     for i in index_multiset:
         derivative = derivative.partial_derivative(i)
     folded = SparsePolynomial("u", {
@@ -98,12 +98,11 @@ def test_derivative_matches_expanded_route():
                 oracle = substitute_route(sig, index)
                 for k in range(1, g):
                     want = oracle(k)
-                    assert restricted_derivative_poly(sig, k, index) == want, (rs, k, index)
+                    assert restricted_poly(sig, k, index) == want, (rs, k, index)
                     pts = trial_points(k, k % 2)
                     assignment = dict(enumerate(pts, start=1))
                     value = want.evaluate(assignment) if not want.is_zero() else 0
-                    r = StratumRestriction.from_signature(sig, k, pts)
-                    assert derivative_on_stratum(sig, k, index, r) == value, (rs, k, index)
+                    assert derivative_value(sig, k, index, pts) == value, (rs, k, index)
 
 
 def unpruned_verdicts(sig, k, first, top):
@@ -142,8 +141,7 @@ def test_pruned_walk_matches_unpruned():
             error = info.value
             assert error.index_multiset == first_survivor
             assert error.survivors and all(len(nu) <= k for nu in error.survivors)
-            restriction = StratumRestriction.from_signature(sig, k, error.point)
-            assert derivative_on_stratum(sig, k, first_survivor, restriction) != 0
+            assert derivative_value(sig, k, first_survivor, error.point) != 0
             # The pure chain along u_g: every power below N_k vanishes (checked
             # unpruned on short chains only; unpruned states grow along it).
             total = sum(u_weights(sig)[i - 1] for i in natural_k(sig, k))
@@ -168,11 +166,18 @@ def test_long_chains_match_unpruned():
 
 
 def test_mixed_partials_commute():
+    # Rim hooks removed in any order give one combination of partitions.
     sig = CurveSignature(2, 9)
-    r = StratumRestriction.from_signature(sig, 2, trial_points(2, 0))
-    a = derivative_on_stratum(sig, 2, (2, 3, 3), r)
-    b = derivative_on_stratum(sig, 2, (3, 2, 3), r)
-    assert a == b
+    hooks = u_weights(sig)
+    states = []
+    for order in [(2, 3, 4), (4, 3, 2), (3, 4, 2)]:
+        state = {_beads(sig): 1}
+        for i in order:
+            state = _remove_rim_hooks(state, hooks[i - 1])
+        states.append(state)
+    assert states[0] and states[0] == states[1] == states[2]
+    survivors = {_partition(m): c for m, c in states[0].items() if len(_partition(m)) <= 2}
+    assert _survivors(sig, 2, (2, 3, 4)) == survivors
 
 
 def test_certify_natural_small():
@@ -200,6 +205,13 @@ def test_certify_variants():
     bundle = certify_natural(sig, 1, index_set=natural_k_i(sig, 1, 1))
     assert bundle.main.verdict == "nonzero"
     assert bundle.main.constant is None
+
+
+def test_certify_variants_reject_out_of_range_indices():
+    sig = CurveSignature(3, 5)
+    for index_set in [(0, 2), (-1, 2), (2, 5)]:
+        with pytest.raises(ValueError):
+            certify_natural(sig, 1, index_set=index_set)
 
 
 def test_certify_all_variants_low_genus():

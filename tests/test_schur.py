@@ -4,6 +4,8 @@ from itertools import combinations_with_replacement, permutations
 
 import pytest
 
+from conftest import coprime_signatures
+from oracles import determinant_power_sum_form, power_sum_polynomial
 from cyclic_strata.polynomials import MultiIndex, SparsePolynomial as Poly, det
 from cyclic_strata.schur import (
     ExpansionLimitError,
@@ -13,7 +15,6 @@ from cyclic_strata.schur import (
     h_from_T,
     h_recursion_check,
     jacobi_trudi_value,
-    power_sum_polynomial,
     schur_bialternant,
     schur_in_T,
     schur_jacobi_trudi,
@@ -279,17 +280,36 @@ def test_schur_in_T_t_form_matches_jacobi_trudi():
             assert schur_in_T(head, sig).as_t == schur_jacobi_trudi(head, k), (r, s, k)
 
 
+def test_schur_in_T_matches_determinant_oracle():
+    # The bead walk against the h_from_T determinant and its natural-set
+    # derivatives, at every head of every curve up to genus 6.
+    for r, s in coprime_signatures(13):
+        sig = CurveSignature(r, s)
+        if sig.genus > 6:
+            continue
+        lam = young_diagram(sig)
+        for k in range(sig.genus + 1):
+            head = truncate_upper(lam, k)
+            form = schur_in_T(head, sig)
+            as_T, as_u = determinant_power_sum_form(head.parts, sig)
+            assert form.as_T == as_T, (r, s, k)
+            assert form.as_u == as_u, (r, s, k)
+
+
 def test_schur_in_T_reaches_genus_7():
     sig = CurveSignature(3, 8)
     lam = young_diagram(sig)
-    form = schur_in_T(lam, sig, max_expand_genus=7)
     values = [Fraction(3), Fraction(-1, 2), Fraction(5, 3), Fraction(2),
               Fraction(-7, 4), Fraction(1, 5), Fraction(4)]
+    form = schur_in_T(lam, sig, max_expand_genus=7)
     point = {i + 1: v for i, v in enumerate(values)}
-    expected = jacobi_trudi_value(lam, sig.genus, values)
-    assert form.as_t.evaluate(point) == expected
-    power_sums = {m: sum(v ** m for v in values) / m for m in form.as_T.variables()}
-    assert form.as_T.evaluate(power_sums) == expected
+    assert form.as_t.evaluate(point) == jacobi_trudi_value(lam, sig.genus, values)
+    for k in range(sig.genus + 1):
+        head = truncate_upper(lam, k)
+        form = schur_in_T(head, sig, max_expand_genus=7)
+        expected = jacobi_trudi_value(head, k, values[:k])
+        power_sums = {m: sum(v ** m for v in values[:k]) / m for m in form.as_T.variables()}
+        assert form.as_T.evaluate(power_sums) == expected, k
 
 
 def test_schur_in_T_rejects_foreign_diagrams():
