@@ -35,7 +35,6 @@ from .strata import (
 )
 from .polynomials import (
     MultiIndex,
-    Rational,
     SparsePolynomial,
     det,
     exact_divide,

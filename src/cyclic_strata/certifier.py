@@ -47,11 +47,13 @@ extensions, and count the extensions of a state pruned to nothing with a
 binomial coefficient instead of visiting them.
 
 Certificates keep the vocabulary of the earlier evaluation pipelines: mode
-``"expanded"`` at genus <= ``max_expand_genus`` and ``"sampled"`` above it
-(now a conservative label, since every verdict is exact), the trial points,
+``"expanded"`` at genus <= ``schur.EXPANSION_GATE`` and ``"sampled"`` above
+it (now a conservative label, since every verdict is exact), the trial count,
 and ``"engine": "rimhook"`` in their JSON.  Failures raise
-:class:`CertificationError` carrying the witness and the survivors; a clean
-run returns certificate bundles suitable for JSON output.
+:class:`CertificationError` carrying the survivors, and for a derivative that
+should vanish a witness: the first of ``trials`` trial points (from ``seed``)
+where it is nonzero, built only for that search.  A clean run returns
+certificate bundles suitable for JSON output.
 """
 
 from __future__ import annotations
@@ -62,7 +64,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
 
-from .schur import _beads, _partition, _remove_rim_hooks, jacobi_trudi_value
+from .schur import EXPANSION_GATE, _beads, _partition, _remove_rim_hooks, jacobi_trudi_value
 from .semigroup import CurveSignature, YoungDiagram, u_weights, young_diagram
 from .strata import (
     InternalConsistencyError,
@@ -104,7 +106,6 @@ class DerivativeCertificate:
     constant: Fraction | None
     mode: str  # "expanded" | "sampled"
     trials: int
-    evaluation_points: tuple[tuple[Fraction, ...], ...]
 
     def to_json_dict(self) -> dict:
         return {
@@ -247,9 +248,10 @@ def _sorted_index(sig: CurveSignature, index_multiset) -> tuple[int, ...]:
     return index
 
 
-def _vanishing_failure(sig, k, index, survivors, points) -> CertificationError:
-    """The error for a derivative that survives on level k, with a witness
-    trial point where its value is nonzero (if any trial point is one)."""
+def _vanishing_failure(sig, k, index, survivors, trials, seed) -> CertificationError:
+    """The error for a derivative that survives on level k, with a witness:
+    the first of the trial points where its value is nonzero, if any is."""
+    points = (trial_points(k, t, seed) for t in range(trials))
     witness = next((p for p in points if _schur_sum_value(survivors, k, p)), None)
     return CertificationError(
         f"derivative {index} does not vanish on level {k} of ({sig.r},{sig.s})",
@@ -257,7 +259,7 @@ def _vanishing_failure(sig, k, index, survivors, points) -> CertificationError:
     )
 
 
-def _vanishing_walk(sig: CurveSignature, k: int, first: int, bound: int, points) -> int:
+def _vanishing_walk(sig: CurveSignature, k: int, first: int, bound: int, trials, seed) -> int:
     """Check that no nondecreasing multiset of indices in [first, g] of size
     below ``bound`` survives on level k; return how many multisets that is.
 
@@ -280,7 +282,7 @@ def _vanishing_walk(sig: CurveSignature, k: int, first: int, bound: int, points)
         survivors = {_partition(mask): c for mask, c in state.items()
                      if not _rows_below(mask, g, k)}
         if survivors:
-            raise _vanishing_failure(sig, k, index, survivors, points)
+            raise _vanishing_failure(sig, k, index, survivors, trials, seed)
         checked += 1
         for j in range(last, g + 1):
             visit(_remove_rim_hooks(state, hooks[j - 1]), index + (j,), j)
@@ -290,15 +292,19 @@ def _vanishing_walk(sig: CurveSignature, k: int, first: int, bound: int, points)
     return checked
 
 
-def _zero_certificate(sig, k, index, mode, points, trials) -> DerivativeCertificate:
+def _mode(sig: CurveSignature) -> str:
+    return "expanded" if sig.genus <= EXPANSION_GATE else "sampled"
+
+
+def _zero_certificate(sig, k, index, trials, seed) -> DerivativeCertificate:
     survivors = _survivors(sig, k, index)
     if survivors:
-        raise _vanishing_failure(sig, k, index, survivors, points)
-    return DerivativeCertificate(k, index, "zero", None, mode, trials, points)
+        raise _vanishing_failure(sig, k, index, survivors, trials, seed)
+    return DerivativeCertificate(k, index, "zero", None, _mode(sig), trials)
 
 
 def _constant_multiple_certificate(
-    sig, k, index, mode, points, trials, expected_abs=None
+    sig, k, index, trials, expected_abs=None
 ) -> DerivativeCertificate:
     """Certify that the index derivative is a fixed nonzero multiple of the
     head Schur polynomial: its only survivor is the head diagram."""
@@ -317,16 +323,18 @@ def _constant_multiple_certificate(
             f"{constant}, expected magnitude {expected_abs}",
             signature=sig, k=k, index_multiset=index, survivors=dict(survivors),
         )
-    return DerivativeCertificate(k, index, "nonzero", constant, mode, trials, points)
+    return DerivativeCertificate(k, index, "nonzero", constant, _mode(sig), trials)
 
 
 # -- public certification operations ------------------------------------------
 
 
-def _mode_and_points(g: int, k: int, trials: int, seed: int, max_expand_genus: int):
-    """Mode label and recorded trial points of a certificate."""
-    mode = "expanded" if g <= max_expand_genus else "sampled"
-    return mode, tuple(trial_points(k, t, seed) for t in range(trials))
+def _check_arguments(sig: CurveSignature, k: int, trials: int, seed: int) -> None:
+    """Level in [1, g); ``trials`` >= 1 and ``seed`` >= 0 pick witness points."""
+    if not 1 <= k < sig.genus:
+        raise ValueError(f"k must lie in [1, {sig.genus}), got {k}")
+    if trials < 1 or seed < 0:
+        raise ValueError("need trials >= 1 and seed >= 0")
 
 
 def certify_natural(
@@ -336,7 +344,6 @@ def certify_natural(
     *,
     seed: int = 0,
     index_set=None,
-    max_expand_genus: int = 6,
 ) -> CertificateBundle:
     """Certify the canonical index set (or a supplied variant) at level k.
 
@@ -345,26 +352,22 @@ def certify_natural(
     a variant set only non-vanishing is certified (its ratio to the head
     polynomial is a non-constant function of the point).
     """
-    g = sig.genus
-    if not 1 <= k < g:
-        raise ValueError(f"k must lie in [1, {g}), got {k}")
-    if trials < 1:
-        raise ValueError("need at least one trial")
+    _check_arguments(sig, k, trials, seed)
     nat = natural_k(sig, k)
     index = nat if index_set is None else _sorted_index(sig, index_set)[::-1]
     canonical = index == nat
-    mode, points = _mode_and_points(g, k, trials, seed, max_expand_genus)
+    mode = _mode(sig)
     certificates = []
 
     if canonical:
         for size in range(len(index)):
             for subset in combinations(index, size):
                 certificates.append(
-                    _zero_certificate(sig, k, tuple(sorted(subset)), mode, points, trials)
+                    _zero_certificate(sig, k, tuple(sorted(subset)), trials, seed)
                 )
         certificates.append(
             _constant_multiple_certificate(
-                sig, k, tuple(sorted(index)), mode, points, trials, expected_abs=1
+                sig, k, tuple(sorted(index)), trials, expected_abs=1
             )
         )
     else:
@@ -377,7 +380,7 @@ def certify_natural(
                 signature=sig, k=k, index_multiset=sorted_index, survivors={},
             )
         certificates.append(
-            DerivativeCertificate(k, sorted_index, "nonzero", None, mode, trials, points)
+            DerivativeCertificate(k, sorted_index, "nonzero", None, mode, trials)
         )
     return CertificateBundle(sig, k, index, mode, trials, tuple(certificates))
 
@@ -389,7 +392,6 @@ def certify_g_power(
     trials: int = 3,
     *,
     seed: int = 0,
-    max_expand_genus: int = 6,
 ) -> DerivativeCertificate:
     """Certify the weight-preserving trade of leading natural members for
     powers of d/du_g.
@@ -399,9 +401,8 @@ def certify_g_power(
     same total number of u_g derivatives.  ell = n_k + 1 is the pure case:
     N_k derivatives along u_g, with every lower pure power certified zero.
     """
+    _check_arguments(sig, k, trials, seed)
     g = sig.genus
-    if not 1 <= k < g:
-        raise ValueError(f"k must lie in [1, {g}), got {k}")
     nat = natural_k(sig, k)
     n = len(nat)
     if not 1 <= ell <= n + 1:
@@ -412,12 +413,11 @@ def certify_g_power(
     kept = nat[ell - 1:]
     dropped_weight = sum(hooks[i - 1] for i in nat[: ell - 1])
     index = tuple(sorted(kept + (g,) * dropped_weight))
-    mode, points = _mode_and_points(g, k, trials, seed, max_expand_genus)
 
     if ell == n + 1:
         # Pure case: all lower pure powers along u_g must vanish first.
-        _vanishing_walk(sig, k, g, sum(hooks[i - 1] for i in nat), points)
-    return _constant_multiple_certificate(sig, k, index, mode, points, trials)
+        _vanishing_walk(sig, k, g, sum(hooks[i - 1] for i in nat), trials, seed)
+    return _constant_multiple_certificate(sig, k, index, trials)
 
 
 def sub_vanishing_sweep(
@@ -426,16 +426,12 @@ def sub_vanishing_sweep(
     trials: int = 3,
     *,
     seed: int = 0,
-    max_expand_genus: int = 6,
 ) -> SweepReport:
     """Check every derivative multiset of order below n_k vanishes at level k."""
-    g = sig.genus
-    if not 1 <= k < g:
-        raise ValueError(f"k must lie in [1, {g}), got {k}")
+    _check_arguments(sig, k, trials, seed)
     bound = len(natural_k(sig, k))
-    mode, points = _mode_and_points(g, k, trials, seed, max_expand_genus)
-    checked = _vanishing_walk(sig, k, 1, bound, points)
-    return SweepReport(sig, k, bound, checked, mode, trials)
+    checked = _vanishing_walk(sig, k, 1, bound, trials, seed)
+    return SweepReport(sig, k, bound, checked, _mode(sig), trials)
 
 
 # -- hierarchy of nested tail blocks ------------------------------------------

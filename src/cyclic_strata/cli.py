@@ -37,7 +37,7 @@ from .numerics import (
     affine_point,
     mu_coeffs,
 )
-from .schur import ExpansionLimitError, schur_in_T
+from .schur import EXPANSION_GATE, ExpansionLimitError, schur_in_T
 from .semigroup import CurveSignature, monomial_basis, nongap_sequence, young_diagram
 from .strata import natural_k, stratum_profile, truncate_upper
 
@@ -196,17 +196,10 @@ def cmd_certify(args) -> int:
         raise SystemExit2("--trials must be >= 1 and --seed >= 0")
     results = []
     for k in levels:
-        bundle = certify_natural(
-            sig, k, args.trials, seed=args.seed, max_expand_genus=args.max_expand_genus
-        )
-        sweep = sub_vanishing_sweep(
-            sig, k, args.trials, seed=args.seed, max_expand_genus=args.max_expand_genus
-        )
+        bundle = certify_natural(sig, k, args.trials, seed=args.seed)
+        sweep = sub_vanishing_sweep(sig, k, args.trials, seed=args.seed)
         powers = [
-            certify_g_power(
-                sig, k, ell, args.trials, seed=args.seed,
-                max_expand_genus=args.max_expand_genus,
-            )
+            certify_g_power(sig, k, ell, args.trials, seed=args.seed)
             for ell in range(1, len(natural_k(sig, k)) + 2)
         ]
         results.append((bundle, sweep, powers))
@@ -321,7 +314,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("r", type=int)
     p.add_argument("s", type=int)
     p.add_argument("--k", type=int, default=None)
-    p.add_argument("--max-expand-genus", type=int, default=6)
+    p.add_argument("--max-expand-genus", type=int, default=EXPANSION_GATE)
     add_common(p)
     p.set_defaults(func=cmd_schur)
 
@@ -331,7 +324,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, default=None)
     p.add_argument("--trials", type=int, default=3)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--max-expand-genus", type=int, default=6)
     add_common(p)
     p.set_defaults(func=cmd_certify)
 

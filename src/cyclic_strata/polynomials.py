@@ -84,9 +84,6 @@ import numpy as np
 
 Coeff = Union[int, Fraction]
 
-#: Exact rational scalar type used for coefficients and evaluation results.
-Rational = Fraction
-
 
 class FamilyMismatchError(ValueError):
     """Raised when two polynomials from different variable families meet."""

@@ -8,7 +8,7 @@ computed four independent ways, all of which must agree exactly:
 * ``schur_bialternant``  -- ratio of alternants: the monomial determinant
   ``|t_j^(L_i + g - i)|`` divided exactly by each factor ``t_i - t_j``, i < j,
   of the Vandermonde (Macdonald, *Symmetric Functions*, I.(3.1)).  It is the
-  ``t``-form that :func:`schur_in_T` returns and the certifier expands.
+  ``t``-form that ``SchurForm.as_t`` derives on read.
 * ``schur_jacobi_trudi`` -- determinant of complete homogeneous functions
   ``|h_(L_i + j - i)|`` over the full window of variables.
 * ``schur_tail_trudi``   -- same shape, but column j only uses the suffix
@@ -51,9 +51,14 @@ k-variable Schur polynomial of the truncated diagram.
 
 Large genus
 -----------
-Full symbolic expansion is gated at ``max_expand_genus`` (default 6).  Above
-the gate, the ``*_value`` functions evaluate each route exactly at rational
-points, which is how route agreement is checked for e.g. (5, 7) at genus 12.
+:func:`schur_in_T` expands the power-sum form up to genus ``EXPANSION_GATE``
+unless ``max_expand_genus`` raises the gate.  The gate only bounds the size of
+the expanded form: the walk is cheap, and ``SchurForm.as_t`` builds the
+``t``-form only when it is read.  The certifier labels its exact
+certificates ``"expanded"`` at genus <= ``EXPANSION_GATE`` and ``"sampled"``
+above it.  Above the gate the ``*_value`` functions evaluate each route
+exactly at rational points, which is how route agreement is checked for e.g.
+(5, 7) at genus 12.
 """
 
 from __future__ import annotations
@@ -77,6 +82,9 @@ from .semigroup import CurveSignature, YoungDiagram, u_weights, young_diagram
 from .strata import InternalConsistencyError, natural_k, truncate_upper
 
 
+EXPANSION_GATE = 6  # default genus gate of symbolic expansion
+
+
 class ExpansionLimitError(ValueError):
     """Full symbolic expansion was requested above the configured genus gate."""
 
@@ -97,15 +105,19 @@ class SymmetricWindow:
 class SchurForm:
     """One Schur polynomial in three coordinate systems.
 
-    ``as_t`` lives in the symmetric variables, ``as_T`` in the scaled power
-    sums restricted to the hook-indexed set, and ``as_u`` is ``as_T`` with
-    ``T_(hook_i)`` renamed ``u_i``.
+    ``as_T`` lives in the scaled power sums restricted to the hook-indexed
+    set and ``as_u`` is ``as_T`` with ``T_(hook_i)`` renamed ``u_i``.
+    ``as_t``, in the symmetric variables ``t_1..t_l`` with l the number of
+    rows, is the bialternant, built afresh on each read and not stored.
     """
 
     diagram: YoungDiagram
-    as_t: SparsePolynomial
     as_T: SparsePolynomial
     as_u: SparsePolynomial
+
+    @property
+    def as_t(self) -> SparsePolynomial:
+        return schur_bialternant(self.diagram, len(self.diagram))
 
 
 # -- complete homogeneous symmetric functions --------------------------------
@@ -361,8 +373,7 @@ def _schur_in_T_cached(parts: tuple[int, ...], sig: CurveSignature) -> SchurForm
     hooks = u_weights(sig)
 
     if not parts:
-        one = SparsePolynomial.one
-        return SchurForm(diagram, one("t"), one("T"), one("u"))
+        return SchurForm(diagram, SparsePolynomial.one("T"), SparsePolynomial.one("u"))
     state = {_beads(sig): 1}
     sign = 1
     if parts != lam.parts:
@@ -377,12 +388,11 @@ def _schur_in_T_cached(parts: tuple[int, ...], sig: CurveSignature) -> SchurForm
             )
     as_u = _character_form(state, hooks).scale(sign)
     as_T = as_u.rename_variables(dict(enumerate(hooks, start=1)), "T")
-    # A curve diagram has g rows, so len(parts) is g for the full form.
-    return SchurForm(diagram, schur_bialternant(diagram, len(parts)), as_T, as_u)
+    return SchurForm(diagram, as_T, as_u)
 
 
 def schur_in_T(
-    diagram: YoungDiagram, sig: CurveSignature, max_expand_genus: int = 6
+    diagram: YoungDiagram, sig: CurveSignature, max_expand_genus: int = EXPANSION_GATE
 ) -> SchurForm:
     """Power-sum (and stratum-coordinate) form of a curve diagram's Schur.
 

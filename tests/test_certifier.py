@@ -7,6 +7,7 @@ import pytest
 
 from conftest import coprime_signatures
 from oracles import determinant_power_sum_form
+from cyclic_strata import certifier
 from cyclic_strata.certifier import (
     CertificationError,
     _beads,
@@ -128,7 +129,6 @@ def test_pruned_walk_matches_unpruned():
         sig = CurveSignature(*rs)
         g = sig.genus
         for k in range(1, g):
-            points = (trial_points(k, 0),)
             n = len(natural_k(sig, k))
             verdicts = unpruned_verdicts(sig, k, 1, n)
             below = [survives for index, survives in verdicts if len(index) < n]
@@ -137,7 +137,7 @@ def test_pruned_walk_matches_unpruned():
             # One order further the walk must stop at the first surviving multiset.
             first_survivor = next(index for index, survives in verdicts if survives)
             with pytest.raises(CertificationError) as info:
-                _vanishing_walk(sig, k, 1, n + 1, points)
+                _vanishing_walk(sig, k, 1, n + 1, 1, 0)
             error = info.value
             assert error.index_multiset == first_survivor
             assert error.survivors and all(len(nu) <= k for nu in error.survivors)
@@ -148,7 +148,34 @@ def test_pruned_walk_matches_unpruned():
             if total <= 12:
                 chain = unpruned_verdicts(sig, k, g, total - 1)
                 assert not any(survives for _, survives in chain)
-            assert _vanishing_walk(sig, k, g, total, points) == total
+            assert _vanishing_walk(sig, k, g, total, 1, 0) == total
+
+
+def test_trial_points_are_built_only_for_witnesses(monkeypatch):
+    calls = []
+
+    def counted(k, trial, seed=0):
+        calls.append(trial)
+        return trial_points(k, trial, seed)
+
+    monkeypatch.setattr(certifier, "trial_points", counted)
+    sig = CurveSignature(2, 7)
+    for k in range(1, sig.genus):
+        certify_natural(sig, k)
+        sub_vanishing_sweep(sig, k)
+        for ell in range(1, len(natural_k(sig, k)) + 2):
+            certify_g_power(sig, k, ell)
+    assert calls == []
+    # The failing walks of test_pruned_walk_matches_unpruned search the trial
+    # points in order and stop at the witness.
+    for rs in [(3, 8), (5, 7)]:
+        sig = CurveSignature(*rs)
+        for k in range(1, sig.genus):
+            calls.clear()
+            with pytest.raises(CertificationError) as info:
+                _vanishing_walk(sig, k, 1, len(natural_k(sig, k)) + 1, 50, 0)
+            witness = next(t for t in range(50) if trial_points(k, t) == info.value.point)
+            assert calls == list(range(witness + 1)), (rs, k)
 
 
 def test_long_chains_match_unpruned():
@@ -178,6 +205,19 @@ def test_mixed_partials_commute():
     assert states[0] and states[0] == states[1] == states[2]
     survivors = {_partition(m): c for m, c in states[0].items() if len(_partition(m)) <= 2}
     assert _survivors(sig, 2, (2, 3, 4)) == survivors
+
+
+def test_certifiers_reject_bad_trials_and_seed():
+    sig = CurveSignature(2, 7)
+    certifiers = [
+        lambda **settings: certify_natural(sig, 1, **settings),
+        lambda **settings: sub_vanishing_sweep(sig, 1, **settings),
+        lambda **settings: certify_g_power(sig, 1, 1, **settings),
+    ]
+    for run in certifiers:
+        for settings in [{"trials": 0}, {"trials": -2}, {"seed": -1}]:
+            with pytest.raises(ValueError):
+                run(**settings)
 
 
 def test_certify_natural_small():
@@ -239,7 +279,7 @@ def test_constant_failure_carries_survivors():
     sig = CurveSignature(2, 9)
     variant = tuple(sorted(natural_k_i(sig, 1, 1)))
     with pytest.raises(CertificationError) as info:
-        _constant_multiple_certificate(sig, 1, variant, "expanded", (), 0)
+        _constant_multiple_certificate(sig, 1, variant, 1)
     survivors = info.value.survivors
     assert survivors and (4,) not in survivors and all(len(nu) <= 1 for nu in survivors)
 

@@ -1,4 +1,7 @@
+import argparse
 import json
+import re
+from pathlib import Path
 
 import pytest
 
@@ -133,18 +136,19 @@ def test_certify_failure_prints_survivors(capsys, monkeypatch):
     assert err.index("witness") < err.index("survivors: -1*s(2,1) +3*s()")
 
 
-def test_certify_honours_max_expand_genus(capsys):
-    # Genus 7 under a gate raised to 7 certifies in expanded mode; the
-    # certificates used to rebuild the form under the default gate of 6.
-    code, out, err = run_cli(
-        capsys, "certify", "2", "15", "--k", "6", "--max-expand-genus", "7", "--format", "json"
-    )
+def test_certify_mode_follows_the_fixed_gate(capsys):
+    # Genus 7 is above the expansion gate, so every certificate is labelled
+    # "sampled"; certify has no gate option to move that label.
+    code, out, err = run_cli(capsys, "certify", "2", "15", "--k", "6", "--format", "json")
     assert code == 0, err
     level = json.loads(out)[0]
-    assert level["natural"]["mode"] == "expanded"
+    assert level["natural"]["mode"] == "sampled"
     certificates = level["natural"]["certificates"] + level["g_power"]
-    assert {(c["mode"], c["engine"]) for c in certificates} == {("expanded", "rimhook")}
-    assert (level["sweep"]["mode"], level["sweep"]["engine"]) == ("expanded", "rimhook")
+    assert {(c["mode"], c["engine"]) for c in certificates} == {("sampled", "rimhook")}
+    assert (level["sweep"]["mode"], level["sweep"]["engine"]) == ("sampled", "rimhook")
+    with pytest.raises(SystemExit) as info:
+        cli.main(["certify", "2", "15", "--k", "6", "--max-expand-genus", "7"])
+    assert info.value.code == 2
 
 
 @pytest.mark.parametrize("flags", [("--trials", "0"), ("--trials", "-1"), ("--seed", "-5")])
@@ -253,3 +257,22 @@ def test_mu_has_no_format_flag(tmp_path):
         cli.main(["mu", "--curve", str(curve_path), "--points", str(points_path),
                   "--format", "table"])
     assert info.value.code == 2
+
+
+def test_readme_cli_section_names_every_flag():
+    # Every long option of every subcommand is documented, and every flag the
+    # README's CLI section names exists.
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("\n## CLI\n", 1)[1].split("\n## ", 1)[0]
+    named = set(re.findall(r"--[a-z][a-z-]*", section))
+    subcommands = next(action.choices for action in cli.build_parser()._actions
+                       if isinstance(action, argparse._SubParsersAction))
+    options = {
+        option
+        for sub in subcommands.values()
+        for action in sub._actions
+        for option in action.option_strings
+        if option.startswith("--") and option != "--help"
+    }
+    assert options - named == set()
+    assert named - options == set()

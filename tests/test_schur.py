@@ -6,10 +6,12 @@ import pytest
 
 from conftest import coprime_signatures
 from oracles import determinant_power_sum_form, power_sum_polynomial
+from cyclic_strata import schur
 from cyclic_strata.polynomials import MultiIndex, SparsePolynomial as Poly, det
 from cyclic_strata.schur import (
     ExpansionLimitError,
     SymmetricWindow,
+    _schur_in_T_cached,
     bialternant_value,
     h_complete,
     h_from_T,
@@ -294,6 +296,23 @@ def test_schur_in_T_matches_determinant_oracle():
             as_T, as_u = determinant_power_sum_form(head.parts, sig)
             assert form.as_T == as_T, (r, s, k)
             assert form.as_u == as_u, (r, s, k)
+
+
+def test_schur_in_T_derives_t_form_on_read(monkeypatch):
+    # schur_in_T builds no bialternant; reading as_t does.
+    sig = CurveSignature(3, 7)
+    heads = [truncate_upper(young_diagram(sig), k) for k in range(sig.genus + 1)]
+    _schur_in_T_cached.cache_clear()
+
+    def refuse(*args):
+        raise AssertionError("schur_in_T built the t-form")
+
+    monkeypatch.setattr(schur, "schur_bialternant", refuse)
+    forms = [schur_in_T(head, sig) for head in heads]
+    monkeypatch.undo()
+    for k, (head, form) in enumerate(zip(heads, forms)):
+        assert (form.as_T, form.as_u) == determinant_power_sum_form(head.parts, sig), k
+        assert form.as_t == schur_bialternant(head, k), k
 
 
 def test_schur_in_T_reaches_genus_7():
