@@ -45,6 +45,7 @@ EXIT_OK = 0
 EXIT_INVALID = 2
 EXIT_CERTIFICATION = 3
 EXIT_TOLERANCE = 4
+GAPS_MAX_COUNT = 100_000  # rows `gaps` prints at most; checked before any is built
 
 
 def _md_table(header: list[str], rows: list[list[str]]) -> str:
@@ -89,8 +90,8 @@ class SystemExit2(Exception):
 def cmd_gaps(args) -> int:
     sig = _parse_signature(args.r, args.s)
     count = args.count if args.count is not None else sig.genus + 1
-    if count < 1:
-        raise SystemExit2("--count must be >= 1")
+    if not 1 <= count <= GAPS_MAX_COUNT:
+        raise SystemExit2(f"--count must lie in [1, {GAPS_MAX_COUNT}], got {count}")
     ngs = nongap_sequence(sig, count)
     basis = monomial_basis(sig, count)
     if args.format == "json":

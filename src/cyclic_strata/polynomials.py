@@ -46,28 +46,44 @@ Determinants
 :func:`det` computes exact determinants of square polynomial matrices by
 cofactor expansion with memoized minors keyed by column subsets, expanding
 rows bottom-up -- this is essentially free when the lower rows are sparse,
-which is the shape of every Jacobi-Trudi style matrix in this package.  It
-has no size dispatch: polynomial Bareiss, whose every step is an exact
-division, took about 100 times as long on the 7x7 alternants of (2, 15).
-The exact-number value routes use :func:`_det_bareiss`, integer-preserving
-Bareiss elimination on rows scaled by the lcm of their denominators (0.06 s
-against 0.21 s over ``Fraction`` on the ``routes`` value determinants).
+which is the shape of every Jacobi-Trudi style matrix in this package.  Each
+cofactor row ``sum_j +/- a_(i,j) * minor_j`` is one fused sum of products (see
+below).  It has no size dispatch: polynomial Bareiss, whose every step is an
+exact division, took about 100 times as long on the 7x7 alternants of
+(2, 15).  The exact-number value routes use :func:`_det_bareiss`,
+integer-preserving Bareiss elimination on rows scaled by the lcm of their
+denominators (0.06 s against 0.21 s over ``Fraction`` on the ``routes`` value
+determinants).
 
 Performance notes
 -----------------
-A product of at least 1,500 term pairs, with at most 6 variables (keys below
-2**60) and ``int`` coefficients, runs in numpy when each term pair fits one
-int64; every other product runs the dict loop.  Both are exact.  The packing
-(Monagan & Pearce, ISSAC 2009): with radius ``R_v = maxexp_v(a) +
-maxexp_v(b) + 1``, a monomial's index ``sum(e_v * prod(R_u, u < v))`` orders
-monomials as their keys do, and a term pair is ``index << shift | (c1*c2 +
-bias)`` with ``shift = 62 - bit_length(prod(R_v))`` and ``bias = max|c1| *
-max|c2|``.  It fits when ``2 * bias < 2**shift`` and no merged sum can
-overflow (``bias * min(len(a), len(b)) < 2**62``); :func:`_vectorizable` is
-that rule.  One in-place sort orders the pairs, ``reduceat`` merges equal
-indices, and ``divmod`` over the radii decodes them to keys.  The cutoff is
-the measured crossover on the ``routes`` products (2 cores, Python 3.11):
-packed won 10 of 11 products of 1,500-2,000 pairs, and the paths tied below.
+Every product runs through one kernel, :func:`_sum_of_products`, which
+computes ``sum(sign * a * b)`` over a list of ``(sign, a, b)`` pieces into one
+dict; ``a * b`` is its one-piece case, and cofactor rows and Laplace sums are
+one call each, so no piece becomes a polynomial of its own.  A sum of at
+least 1,500 term pairs, with at most 6 variables (keys below 2**60) and
+``int`` coefficients in every piece, runs in numpy when each term pair fits
+one int64; every other sum runs the dict loop over all its pieces.  Both are
+exact.  The packing (Monagan & Pearce, ISSAC 2009): with radius ``R_v`` one
+more than the largest ``maxexp_v(a) + maxexp_v(b)`` over the pieces, a
+monomial's index ``sum(e_v * prod(R_u, u < v))`` orders monomials as their
+keys do, and a term pair is ``index << shift | (c1*c2 + bias)`` with ``shift
+= 62 - bit_length(prod(R_v))`` and ``bias`` the largest ``max|c1| * max|c2|``
+over the pieces.  It fits when ``2 * bias < 2**shift`` and no merged sum can
+overflow (``bias * sum(min(len(a), len(b))) < 2**62``); :func:`_vectorizable`
+is that rule.  Each piece is packed in blocks of whole rows of its longer
+factor, at most ``_BLOCK_PAIRS`` (2**18, 2 MiB) term pairs each; a block is
+sorted in place and ``reduceat`` merges its equal indices.  The small reduced
+``(index, sum)`` arrays of all blocks are merged by one stable argsort and
+``reduceat``, and ``divmod`` over the radii decodes the indices to keys.  The
+block bound caps the kernel's working memory whatever the size of the sum:
+with one packed array per piece (11.5 MiB for the largest ``(3, 7)`` minor)
+the allocator kept a varying share of the space between arrays, and the
+``routes`` peak RSS read 72-82 MB from run to run; in blocks it reads about
+60 MB in every run.  The cutoff is the measured crossover on the ``routes``
+products (2 cores, Python 3.11): packed won 10 of 11 products of 1,500-2,000
+pairs, and the paths tied below; on the fused ``routes`` sums it won 5 of 9
+sums of 1,500-3,000 pairs and 42 of 49 larger ones.
 """
 
 from __future__ import annotations
@@ -123,6 +139,7 @@ _FIELD = (1 << _BITS) - 1
 _MAX_EXP = (1 << (_BITS - 1)) - 1
 _VECTOR_CUTOFF = 1_500
 _VECTOR_KEY_LIMIT = 1 << 60  # at most six fields
+_BLOCK_PAIRS = 1 << 18
 _FIELD_SHIFTS = np.arange(0, 60, _BITS, dtype=np.int64)
 
 
@@ -166,67 +183,120 @@ def _mono_str(m: MultiIndex, family: str) -> str:
     return "*".join(f"{family}{v}" if e == 1 else f"{family}{v}^{e}" for v, e in m)
 
 
-def _vectorizable(t1: dict, t2: dict):
-    """The packed layout of ``t1 * t2``, or None for the dict loop."""
-    if len(t1) * len(t2) < _VECTOR_CUTOFF:
+def _vectorizable(pieces: list):
+    """The packed layout of ``sum(sign * t1 * t2)`` over ``pieces``, or None
+    for the dict loop."""
+    if sum(len(t1) * len(t2) for _, t1, t2 in pieces) < _VECTOR_CUTOFF:
         return None
-    if max(t1) >= _VECTOR_KEY_LIMIT or max(t2) >= _VECTOR_KEY_LIMIT:
+    bias = merged = 0
+    exps, top = [], 0
+    for _, t1, t2 in pieces:
+        for t in (t1, t2):
+            if max(t) >= _VECTOR_KEY_LIMIT or not {int}.issuperset(map(type, t.values())):
+                return None
+        bias = max(bias, max(map(abs, t1.values())) * max(map(abs, t2.values())))
+        # reduceat adds at most min(len) products of bounded size per piece,
+        # and the merge adds the pieces' sums
+        merged += min(len(t1), len(t2))
+        e1 = (np.fromiter(t1, np.int64, len(t1))[:, None] >> _FIELD_SHIFTS) & _FIELD
+        e2 = (np.fromiter(t2, np.int64, len(t2))[:, None] >> _FIELD_SHIFTS) & _FIELD
+        top = np.maximum(top, e1.max(axis=0) + e2.max(axis=0))
+        exps.append((e1, e2))
+    if bias * merged >= 2**62:
         return None
-    if any(type(c) is not int for t in (t1, t2) for c in t.values()):
-        return None
-    bias = max(map(abs, t1.values())) * max(map(abs, t2.values()))
-    # reduceat adds at most min(len) products of bounded size
-    if bias * min(len(t1), len(t2)) >= 2**62:
-        return None
-    e1, e2 = ((np.fromiter(t, np.int64, len(t))[:, None] >> _FIELD_SHIFTS) & _FIELD
-              for t in (t1, t2))
-    radii = (e1.max(axis=0) + e2.max(axis=0) + 1).tolist()
+    radii = (top + 1).tolist()
     shift = 62 - prod(radii).bit_length()
     if 2 * bias >= 1 << shift:
         return None
-    return e1, e2, radii, shift, bias
+    return exps, radii, shift, bias
 
 
-def _mul_vectorized(t1: dict, t2: dict, layout) -> dict:
-    e1, e2, radii, shift, bias = layout
-    strides = np.cumprod([1] + radii[:-1], dtype=np.int64)
-    i1 = (e1 @ strides) << shift
-    i2 = (e2 @ strides) << shift
-    i2 += bias
-    # One int64 per term pair: index << shift | (c1*c2 + bias).
-    packed = np.empty((len(t1), len(t2)), dtype=np.int64)
-    np.multiply.outer(np.fromiter(t1.values(), dtype=np.int64, count=len(t1)),
-                      np.fromiter(t2.values(), dtype=np.int64, count=len(t2)), out=packed)
-    packed += i2[None, :]
-    packed += i1[:, None]
-    packed = packed.ravel()
-    packed.sort()
-    index = packed >> shift
-    packed &= (1 << shift) - 1
-    packed -= bias
+def _reduce_runs(index, values):
+    """Sum ``values`` over each run of equal entries of the sorted ``index``."""
     starts = np.concatenate(([0], np.flatnonzero(index[1:] != index[:-1]) + 1))
-    index = index[starts]
-    sums = np.add.reduceat(packed, starts)
-    del packed
-    keep = sums != 0
-    index, sums = index[keep], sums[keep]
+    return index[starts], np.add.reduceat(values, starts)
+
+
+def _sum_vectorized(pieces: list, layout) -> dict:
+    exps, radii, shift, bias = layout
+    strides = np.cumprod([1] + radii[:-1], dtype=np.int64)
+    indices, sums = [], []
+    for (sign, t1, t2), (e1, e2) in zip(pieces, exps):
+        if len(t1) < len(t2):
+            t1, t2, e1, e2 = t2, t1, e2, e1
+        i1 = (e1 @ strides) << shift
+        i2 = (e2 @ strides) << shift
+        i2 += bias
+        c1 = np.fromiter(t1.values(), dtype=np.int64, count=len(t1))
+        c2 = np.fromiter(t2.values(), dtype=np.int64, count=len(t2))
+        rows = max(1, _BLOCK_PAIRS // len(t2))
+        for lo in range(0, len(t1), rows):
+            # One int64 per term pair: index << shift | (c1*c2 + bias).
+            packed = np.multiply.outer(c1[lo:lo + rows], c2)
+            packed += i2[None, :]
+            packed += i1[lo:lo + rows, None]
+            packed = packed.ravel()
+            packed.sort()
+            index = packed >> shift
+            packed &= (1 << shift) - 1
+            packed -= bias
+            index, block_sums = _reduce_runs(index, packed)
+            del packed
+            indices.append(index)
+            sums.append(-block_sums if sign < 0 else block_sums)
+    index, total = indices[0], sums[0]
+    if len(indices) > 1:
+        index, total = np.concatenate(indices), np.concatenate(sums)
+        order = np.argsort(index, kind="stable")
+        index, total = _reduce_runs(index[order], total[order])
+    keep = total != 0
+    index, total = index[keep], total[keep]
     keys = np.zeros_like(index)
     for v, radius in enumerate(radii):
         index, e = np.divmod(index, radius)
         keys |= e << (_BITS * v)
-    return dict(zip(keys.tolist(), sums.tolist()))
+    return dict(zip(keys.tolist(), total.tolist()))
 
 
-def _mul_dict(t1: dict, t2: dict) -> dict:
-    if len(t1) > len(t2):
-        t1, t2 = t2, t1
+def _sum_dict(pieces: list) -> dict:
     out: dict = {}
     get = out.get
-    for m1, c1 in t1.items():
-        for m2, c2 in t2.items():
-            m = m1 + m2
-            out[m] = get(m, 0) + c1 * c2
+    for sign, t1, t2 in pieces:
+        if len(t1) > len(t2):
+            t1, t2 = t2, t1
+        for m1, c1 in t1.items():
+            if sign < 0:
+                c1 = -c1
+            for m2, c2 in t2.items():
+                m = m1 + m2
+                out[m] = get(m, 0) + c1 * c2
     return {m: c for m, c in out.items() if c}
+
+
+def _sum_of_products(family: str, pieces) -> "SparsePolynomial":
+    """``sum(sign * a * b for sign, a, b in pieces)``, each sign +1 or -1.
+
+    The one product kernel: ``a * b`` is its one-piece case, and ``det``,
+    ``schur._left_minors`` and ``schur.schur_split_trudi`` build each
+    cofactor row or Laplace sum with one call.
+    """
+    terms = []
+    for sign, a, b in pieces:
+        for p in (a, b):
+            if p.family != family:
+                raise FamilyMismatchError(f"cannot combine family {family!r} with {p.family!r}")
+        if a._terms and b._terms:
+            terms.append((sign, a._terms, b._terms))
+    if not terms:
+        return SparsePolynomial.zero(family)
+    layout = _vectorizable(terms)
+    out = _sum_vectorized(terms, layout) if layout else _sum_dict(terms)
+    # Each exponent is at most 511, so a sum of two never carries out of its
+    # field, but it can reach the guard bit.
+    used = reduce(or_, out, 0)
+    if used & _guard_mask(used):
+        raise OverflowError(f"a product exponent exceeds {_MAX_EXP}")
+    return SparsePolynomial._raw(family, out)
 
 
 class SparsePolynomial:
@@ -357,18 +427,7 @@ class SparsePolynomial:
             return self.scale(other)
         if not isinstance(other, SparsePolynomial):
             return NotImplemented
-        self._check_family(other)
-        t1, t2 = self._terms, other._terms
-        if not t1 or not t2:
-            return SparsePolynomial.zero(self.family)
-        layout = _vectorizable(t1, t2)
-        out = _mul_vectorized(t1, t2, layout) if layout else _mul_dict(t1, t2)
-        # Each exponent is at most 511, so a sum of two never carries out of
-        # its field, but it can reach the guard bit.
-        used = reduce(or_, out, 0)
-        if used & _guard_mask(used):
-            raise OverflowError(f"a product exponent exceeds {_MAX_EXP}")
-        return SparsePolynomial._raw(self.family, out)
+        return _sum_of_products(self.family, [(1, self, other)])
 
     __rmul__ = __mul__
 
@@ -559,16 +618,10 @@ def det(matrix) -> SparsePolynomial:
         if len(cols) == 1:
             value = matrix[row][cols[0]]
         else:
-            value = SparsePolynomial.zero(family)
-            for pos, j in enumerate(cols):
-                entry = matrix[row][j]
-                if entry.is_zero():
-                    continue
-                sub = minor(cols[:pos] + cols[pos + 1:])
-                if sub.is_zero():
-                    continue
-                piece = entry * sub
-                value = value + piece if pos % 2 == 0 else value - piece
+            value = _sum_of_products(family, [
+                (-1 if pos % 2 else 1, matrix[row][j], minor(cols[:pos] + cols[pos + 1:]))
+                for pos, j in enumerate(cols) if not matrix[row][j].is_zero()
+            ])
         memo[cols] = value
         return value
 

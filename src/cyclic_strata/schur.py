@@ -18,6 +18,10 @@ computed four independent ways, all of which must agree exactly:
 
 The three Trudi routes are the bialternant's independent oracles; the
 Jacobi-Trudi and split routes share the full-window minors ``_left_minors``.
+Each of those minors, and each split route's Laplace sum over row subsets,
+is one call of the polynomial product kernel ``_sum_of_products``, as is
+every cofactor row of ``det``; only the accumulation of the signed products
+is shared, and the four determinants stay independent.
 
 :func:`h_complete` expands the complete homogeneous functions in the ``t``
 variables.  :func:`h_from_T` writes h_n in the scaled power sums
@@ -75,6 +79,7 @@ from .polynomials import (
     MultiIndex,
     SparsePolynomial,
     _det_bareiss,
+    _sum_of_products,
     det,
     exact_divide,
 )
@@ -197,23 +202,18 @@ def _left_minors(parts: tuple[int, ...], g: int) -> dict:
     Key: tuple of 1-based row indices S with |S| = k; value: the determinant
     of rows S against columns 1..k with entries h_(parts_i + j - i) over the
     full window.  Shared by the Jacobi-Trudi route (k = g) and every split
-    route (Laplace expansion along the first k columns).
+    route (Laplace expansion along the first k columns).  Each minor expands
+    along its last column, ``sum_p +/- h * minor(S minus its p-th row)``, as
+    one sum-of-products call.
     """
-    zero = SparsePolynomial.zero("t")
     minors: dict[tuple[int, ...], SparsePolynomial] = {(): SparsePolynomial.one("t")}
     for k in range(1, g + 1):
         for subset in combinations(range(1, g + 1), k):
-            value = zero
-            for p, i in enumerate(subset):
-                entry = _h(parts[i - 1] + k - i, 1, g)
-                if entry.is_zero():
-                    continue
-                sub = minors[subset[:p] + subset[p + 1:]]
-                if sub.is_zero():
-                    continue
-                piece = entry * sub
-                value = value + piece if (p + k - 1) % 2 == 0 else value - piece
-            minors[subset] = value
+            minors[subset] = _sum_of_products("t", [
+                (-1 if (p + k - 1) % 2 else 1, _h(parts[i - 1] + k - i, 1, g),
+                 minors[subset[:p] + subset[p + 1:]])
+                for p, i in enumerate(subset)
+            ])
     return minors
 
 
@@ -252,7 +252,7 @@ def schur_split_trudi(diagram: YoungDiagram, g: int, k: int) -> SparsePolynomial
         # Both degenerate splits coincide with the plain Jacobi-Trudi matrix.
         return schur_jacobi_trudi(diagram, g)
     minors = _left_minors(parts, g)
-    total = SparsePolynomial.zero("t")
+    pieces = []
     for subset in combinations(range(1, g + 1), k):
         left = minors[subset]
         if left.is_zero():
@@ -262,13 +262,9 @@ def schur_split_trudi(diagram: YoungDiagram, g: int, k: int) -> SparsePolynomial
             [_h(parts[i - 1] + j - i, k + 1, g) for j in range(k + 1, g + 1)]
             for i in complement
         ]
-        right = det(right_matrix)
-        if right.is_zero():
-            continue
         sign = -1 if (sum(subset) + k * (k + 1) // 2) % 2 else 1
-        piece = left * right
-        total = total + piece if sign == 1 else total - piece
-    return total
+        pieces.append((sign, left, det(right_matrix)))
+    return _sum_of_products("t", pieces)
 
 
 def h_recursion_check(n: int, m: int | None, l1: int, l2: int) -> tuple[bool, bool, bool]:

@@ -56,6 +56,23 @@ def test_gaps_table_and_json(capsys):
     assert json.loads(json.dumps(payload)) == payload
 
 
+def test_gaps_count_is_capped_before_anything_is_built(capsys, monkeypatch):
+    cap = cli.GAPS_MAX_COUNT
+    assert cap == 100_000
+    code, out, _ = run_cli(capsys, "gaps", "2", "3", "--count", str(cap), "--format", "csv")
+    assert code == 0 and len(out.splitlines()) == cap + 1
+
+    def unreachable(*args):
+        raise AssertionError("gaps built its rows before checking --count")
+
+    monkeypatch.setattr(cli, "nongap_sequence", unreachable)
+    monkeypatch.setattr(cli, "monomial_basis", unreachable)
+    for count in (cap + 1, 0):
+        code, out, err = run_cli(capsys, "gaps", "2", "3", "--count", str(count))
+        assert (code, out) == (2, "")
+        assert err == f"error: --count must lie in [1, {cap}], got {count}\n"
+
+
 def test_strata_json_roundtrip(capsys):
     code, out, _ = run_cli(capsys, "strata", "3", "4", "--format", "json")
     assert code == 0

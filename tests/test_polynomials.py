@@ -1,10 +1,12 @@
 import random
+import tracemalloc
 from fractions import Fraction
 from itertools import permutations
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from cyclic_strata import polynomials
 from cyclic_strata.polynomials import (
     FamilyMismatchError,
     InexactDivisionError,
@@ -12,6 +14,7 @@ from cyclic_strata.polynomials import (
     MultiIndex,
     SparsePolynomial as Poly,
     _det_bareiss,
+    _sum_of_products,
     _vectorizable,
     det,
     exact_divide,
@@ -117,7 +120,7 @@ def test_exponent_cap_raises():
     # the same overflow inside a product large enough for numpy
     a = _random_poly(random.Random(3), 300, 6, 7, -9, 9) + Poly.variable("t", 6, 300)
     b = _random_poly(random.Random(4), 200, 6, 7, -9, 9) + Poly.variable("t", 6, 212)
-    assert _vectorizable(a._terms, b._terms)
+    assert _vectorizable([(1, a._terms, b._terms)])
     with pytest.raises(OverflowError):
         _ = a * b
 
@@ -158,6 +161,35 @@ def test_bareiss_matches_cofactor():
             piece = m7[0][j] * det(minor)
             expansion = expansion + piece if j % 2 == 0 else expansion - piece
         assert det(m7) == expansion
+
+
+def test_det_matches_leibniz(monkeypatch):
+    layouts = []  # every layout det's sums chose; None is the dict loop
+    vectorizable = polynomials._vectorizable
+
+    def recording(pieces):
+        layouts.append(vectorizable(pieces))
+        return layouts[-1]
+
+    monkeypatch.setattr(polynomials, "_vectorizable", recording)
+    rng = random.Random(41)
+
+    def entry(size, fractions):
+        roll = rng.random()
+        if roll < 0.2:
+            return Poly.zero("t")
+        p = _random_poly(rng, rng.randint(1, size), 3, 2, -9, 9)
+        if fractions and roll < 0.45:
+            return p.scale(Fraction(rng.randint(-7, 7) or 1, rng.randint(2, 9)))
+        return p
+
+    for n, size, fractions, trials in [(3, 4, True, 12), (4, 3, True, 4), (3, 25, False, 2),
+                                       (4, 25, False, 1), (4, 25, True, 1)]:
+        for _ in range(trials):
+            m = [[entry(size, fractions) for _ in range(n)] for _ in range(n)]
+            assert dict(det(m).terms) == _leibniz_oracle(m)
+    assert any(layout is not None for layout in layouts)
+    assert any(layout is None for layout in layouts)
 
 
 def _leibniz(matrix):
@@ -270,16 +302,44 @@ def _random_poly(rng, n, nvars, max_exp, lo, hi, family="t"):
     return Poly(family, terms)
 
 
-def _oracle_product(p, q):
-    """p * q by the schoolbook double loop over (variable, exponent) tuples."""
+def _oracle_mul(x, y):
+    """Schoolbook product of two dicts keyed by (variable, exponent) tuples."""
     out = {}
-    for m1, c1 in p.terms.items():
-        for m2, c2 in q.terms.items():
+    for m1, c1 in x.items():
+        for m2, c2 in y.items():
             exps = dict(m1)
             for v, e in m2:
                 exps[v] = exps.get(v, 0) + e
             m = tuple(sorted(exps.items()))
             out[m] = out.get(m, 0) + c1 * c2
+    return {m: c for m, c in out.items() if c}
+
+
+def _oracle_product(p, q):
+    """p * q by the schoolbook double loop over (variable, exponent) tuples."""
+    return _oracle_mul(dict(p.terms), dict(q.terms))
+
+
+def _oracle_sum(pieces):
+    """sum(sign * p * q) as a sum of oracle products."""
+    out = {}
+    for sign, p, q in pieces:
+        for m, c in _oracle_product(p, q).items():
+            out[m] = out.get(m, 0) + sign * c
+    return {m: c for m, c in out.items() if c}
+
+
+def _leibniz_oracle(matrix):
+    """det of a polynomial matrix by the Leibniz formula over oracle products."""
+    n = len(matrix)
+    out = {}
+    for perm in permutations(range(n)):
+        inversions = sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n))
+        term = {(): (-1) ** inversions}
+        for i, j in enumerate(perm):
+            term = _oracle_mul(term, dict(matrix[i][j].terms))
+        for m, c in term.items():
+            out[m] = out.get(m, 0) + c
     return {m: c for m, c in out.items() if c}
 
 
@@ -300,7 +360,7 @@ def test_large_products_match_tuple_oracle():
     ]
     for a, b, vectorized in cases:
         assert len(a) * len(b) >= 25_000
-        assert (_vectorizable(a._terms, b._terms) is not None) == vectorized
+        assert (_vectorizable([(1, a._terms, b._terms)]) is not None) == vectorized
         assert dict((a * b).terms) == _oracle_product(a, b)
 
 
@@ -309,11 +369,11 @@ def test_packed_product_under_25k_term_pairs():
     a = _random_poly(rng, 90, 5, 6, -30, 30)
     b = _random_poly(rng, 80, 5, 6, -30, 30)
     assert 5_000 <= len(a) * len(b) < 25_000
-    assert _vectorizable(a._terms, b._terms) is not None
+    assert _vectorizable([(1, a._terms, b._terms)]) is not None
     assert dict((a * b).terms) == _oracle_product(a, b)
     small = _random_poly(rng, 10, 5, 6, -30, 30)
     assert len(small) * len(b) < 1_500
-    assert _vectorizable(small._terms, b._terms) is None
+    assert _vectorizable([(1, small._terms, b._terms)]) is None
 
 
 def test_packed_product_cancels_mixed_signs():
@@ -324,7 +384,7 @@ def test_packed_product_cancels_mixed_signs():
     c = Poly("t", {MultiIndex([(1, i), (2, j)]): (-1) ** (i + j) for i in range(50)
                    for j in range(50)})
     for p, q, size in [(a, b, 100), (c, T1 - T2, 198)]:
-        assert _vectorizable(p._terms, q._terms) is not None
+        assert _vectorizable([(1, p._terms, q._terms)]) is not None
         product = p * q
         assert dict(product.terms) == _oracle_product(p, q)
         assert len(product) == size
@@ -344,7 +404,7 @@ def test_packed_product_coefficient_bound():
     ]:
         a = Poly("t", {**grid, corner: c1})
         b = Poly("t", {**sparse, corner: c2})
-        assert (_vectorizable(a._terms, b._terms) is not None) == packed
+        assert (_vectorizable([(1, a._terms, b._terms)]) is not None) == packed
         assert dict((a * b).terms) == _oracle_product(a, b)
 
 
@@ -354,7 +414,7 @@ def test_packed_product_with_wide_exponents():
     rng = random.Random(31)
     a = _random_poly(rng, 120, 6, 5, -10**4, 10**4) + Poly.variable("t", 6, 300)
     b = _random_poly(rng, 60, 6, 5, -10**4, 10**4) + Poly.variable("t", 6, 200).scale(-7)
-    assert _vectorizable(a._terms, b._terms) is not None
+    assert _vectorizable([(1, a._terms, b._terms)]) is not None
     product = a * b
     assert dict(product.terms) == _oracle_product(a, b)
     assert product.terms[MultiIndex([(6, 500)])] == -7
@@ -371,3 +431,139 @@ def test_exact_division_roundtrip_in_eight_variables():
         assert dict(prod.terms) == _oracle_product(a, b)
         assert exact_divide(prod, b) == a
         assert exact_divide(prod.scale(Fraction(2, 7)), b.scale(3)) == a.scale(Fraction(2, 21))
+
+
+# -- the sum-of-products kernel ------------------------------------------------
+
+
+def test_sum_of_products_matches_oracle_sums():
+    rng = random.Random(43)
+    big = [_random_poly(rng, 60, 4, 6, -99, 99) for _ in range(6)]
+    small = [_random_poly(rng, 6, 4, 3, -9, 9) for _ in range(6)]
+    for polys, packed in [(big, True), (small, False)]:
+        for _ in range(4):
+            pieces = [((-1) ** i, rng.choice(polys), rng.choice(polys))
+                      for i in range(rng.randint(2, 5))]
+            layout = _vectorizable([(s, a._terms, b._terms) for s, a, b in pieces])
+            assert (layout is not None) == packed
+            assert dict(_sum_of_products("t", pieces).terms) == _oracle_sum(pieces)
+    # the radii cover every piece, not just the first
+    narrow, wide = _random_poly(rng, 40, 3, 2, -9, 9), _random_poly(rng, 60, 3, 9, -9, 9)
+    pieces = [(1, narrow, narrow), (-1, wide, narrow), (1, wide, wide)]
+    assert _vectorizable([(s, a._terms, b._terms) for s, a, b in pieces]) is not None
+    assert dict(_sum_of_products("t", pieces).terms) == _oracle_sum(pieces)
+    # a single piece is the product itself
+    a, b = big[0], big[1]
+    assert _sum_of_products("t", [(1, a, b)]) == a * b
+    assert _sum_of_products("t", [(-1, a, b)]) == -(a * b)
+
+
+def test_sum_of_products_cancels_to_zero():
+    rng = random.Random(47)
+    a = _random_poly(rng, 80, 3, 6, -50, 50)
+    b = _random_poly(rng, 70, 3, 6, -50, 50)
+    for x, y in [(a, b), (T1 + T2, T1 - T3)]:
+        pieces = [(1, x, y), (-1, y, x), (1, x, -y), (1, x, y)]
+        total = _sum_of_products("t", pieces)
+        assert total.is_zero() and total.family == "t"
+    assert _vectorizable([(1, a._terms, b._terms), (-1, b._terms, a._terms)]) is not None
+
+
+def test_sum_of_products_of_nothing_is_zero_of_its_family():
+    for family in ("t", "T", "u"):
+        total = _sum_of_products(family, [])
+        assert total.is_zero() and total.family == family
+    u = Poly.variable("u", 1)
+    zero = _sum_of_products("u", [(1, u, Poly.zero("u")), (-1, Poly.zero("u"), u)])
+    assert zero.is_zero() and zero.family == "u"
+
+
+def test_sum_of_products_with_a_fraction_takes_the_dict_loop():
+    rng = random.Random(53)
+    a = _random_poly(rng, 80, 4, 5, -20, 20)
+    b = _random_poly(rng, 60, 4, 5, -20, 20)
+    c = _random_poly(rng, 5, 4, 5, -20, 20).scale(Fraction(2, 3))
+    pieces = [(1, a, b), (-1, c, T1)]
+    assert _vectorizable([(1, a._terms, b._terms)]) is not None
+    assert _vectorizable([(s, p._terms, q._terms) for s, p, q in pieces]) is None
+    total = _sum_of_products("t", pieces)
+    assert dict(total.terms) == _oracle_sum(pieces)
+    assert any(type(v) is Fraction for v in total.terms.values())
+
+
+def test_sum_of_products_merge_bound_takes_the_dict_loop():
+    # Each piece packs alone: radius 199 leaves a 54-bit coefficient field,
+    # bias = (2^27 - 1) * 2^26 < 2^53 and bias * 100 < 2^62.  Twelve pieces
+    # give bias * 1200 >= 2^62, and the coefficient of t1^99 exceeds 2^63.
+    a = Poly("t", {MultiIndex([(1, i)]): 2**27 - 1 for i in range(100)})
+    b = Poly("t", {MultiIndex([(1, i)]): 2**26 for i in range(100)})
+    piece = (1, a._terms, b._terms)
+    assert _vectorizable([piece]) is not None
+    assert _vectorizable([piece] * 5) is not None
+    assert _vectorizable([piece] * 12) is None
+    total = _sum_of_products("t", [(1, a, b)] * 12)
+    assert dict(total.terms) == _oracle_sum([(1, a, b)] * 12)
+    assert total.terms[MultiIndex([(1, 99)])] == 12 * 100 * (2**27 - 1) * 2**26 > 2**63
+
+
+def test_sum_of_products_exponent_guard():
+    rng = random.Random(59)
+    a = _random_poly(rng, 300, 6, 7, -9, 9) + Poly.variable("t", 6, 300)
+    b = _random_poly(rng, 200, 6, 7, -9, 9) + Poly.variable("t", 6, 212)
+    small = Poly.variable("t", 6, 300) + T1
+    for pieces in [[(1, a, b), (-1, T1, T2)], [(1, T1, T2), (-1, small, small)]]:
+        packed = _vectorizable([(s, p._terms, q._terms) for s, p, q in pieces]) is not None
+        assert packed == (pieces[0][1] is a)
+        with pytest.raises(OverflowError):
+            _sum_of_products("t", pieces)
+
+
+def test_sum_of_products_family_check():
+    u = Poly.variable("u", 1)
+    for family, pieces in [
+        ("t", [(1, T1, T2), (1, T1, u)]),
+        ("t", [(1, u, T1)]),
+        ("u", [(1, T1, T2)]),
+        ("t", [(1, Poly.zero("u"), T1)]),
+    ]:
+        with pytest.raises(FamilyMismatchError):
+            _sum_of_products(family, pieces)
+
+
+def test_sum_of_products_blocks_match_oracle(monkeypatch):
+    # Blocks of one row, of a few rows and of a whole piece give the same sum,
+    # whichever factor of a piece is the longer, with cancellation across
+    # blocks and pieces.
+    rng = random.Random(61)
+    a = _random_poly(rng, 90, 4, 6, -40, 40)
+    b = _random_poly(rng, 25, 4, 6, -40, 40)
+    c = _random_poly(rng, 60, 4, 6, -40, 40)
+    pieces = [(1, a, b), (-1, b, a), (1, b, c), (-1, c, a), (1, a, a)]
+    assert _vectorizable([(s, p._terms, q._terms) for s, p, q in pieces]) is not None
+    expected = _oracle_sum(pieces)
+    for block in (1, 7, 64, 1 << 30):
+        monkeypatch.setattr(polynomials, "_BLOCK_PAIRS", block)
+        assert dict(_sum_of_products("t", pieces).terms) == expected
+        assert (a * b) - (b * a) == Poly.zero("t")
+
+
+def test_packed_product_memory_is_bounded_by_the_block(monkeypatch):
+    # 1,600 x 900 = 1.44M term pairs would take 11 MiB as one packed array;
+    # in blocks the product's peak traced memory stays a few MiB.
+    a = Poly("t", {MultiIndex([(1, i), (2, j)]): i - j + 1 for i in range(40) for j in range(40)})
+    b = Poly("t", {MultiIndex([(1, i), (2, j)]): i + 2 * j - 5 for i in range(30) for j in range(30)})
+    assert _vectorizable([(1, a._terms, b._terms)]) is not None
+
+    def traced_peak():
+        tracemalloc.start()
+        try:
+            product = a * b
+            return tracemalloc.get_traced_memory()[1], product
+        finally:
+            tracemalloc.stop()
+
+    blocked, product = traced_peak()
+    monkeypatch.setattr(polynomials, "_BLOCK_PAIRS", 1 << 30)
+    whole, unblocked = traced_peak()
+    assert product == unblocked
+    assert blocked < 8 * 2**20 < whole
