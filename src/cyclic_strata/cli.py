@@ -46,6 +46,7 @@ EXIT_INVALID = 2
 EXIT_CERTIFICATION = 3
 EXIT_TOLERANCE = 4
 GAPS_MAX_COUNT = 100_000  # rows `gaps` prints at most; checked before any is built
+TABLE_MAX_GENUS = 1_000  # genus `strata` and `natural` tabulate at most; checked likewise
 
 
 def _md_table(header: list[str], rows: list[list[str]]) -> str:
@@ -83,6 +84,13 @@ def _parse_signature(r: int, s: int) -> CurveSignature:
         raise SystemExit2(str(exc))
 
 
+def _table_signature(r: int, s: int) -> CurveSignature:
+    sig = _parse_signature(r, s)
+    if sig.genus > TABLE_MAX_GENUS:
+        raise SystemExit2(f"genus {sig.genus} of ({r},{s}) exceeds the table cap {TABLE_MAX_GENUS}")
+    return sig
+
+
 class SystemExit2(Exception):
     """Invalid-input errors that should terminate with exit code 2."""
 
@@ -117,7 +125,7 @@ def cmd_gaps(args) -> int:
 
 
 def cmd_strata(args) -> int:
-    sig = _parse_signature(args.r, args.s)
+    sig = _table_signature(args.r, args.s)
     profiles = [stratum_profile(sig, k) for k in range(sig.genus)]
     if args.format == "json":
         payload = {"r": sig.r, "s": sig.s, "genus": sig.genus,
@@ -140,9 +148,12 @@ def cmd_natural(args) -> int:
     sigs = []
     for token in args.signatures:
         try:
-            r_text, s_text = token.split(",")
-            sigs.append(_parse_signature(int(r_text), int(s_text)))
-        except (ValueError, SystemExit2) as exc:
+            r, s = map(int, token.split(","))
+        except ValueError:
+            raise SystemExit2(f"bad signature {token!r}: expected r,s with integers r and s")
+        try:
+            sigs.append(_table_signature(r, s))
+        except SystemExit2 as exc:
             raise SystemExit2(f"bad signature {token!r}: {exc}")
     if not sigs:
         raise SystemExit2("need at least one r,s signature")

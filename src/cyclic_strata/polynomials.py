@@ -59,19 +59,22 @@ Performance notes
 -----------------
 Every product runs through one kernel, :func:`_sum_of_products`, which
 computes ``sum(sign * a * b)`` over a list of ``(sign, a, b)`` pieces into one
-dict; ``a * b`` is its one-piece case, and cofactor rows and Laplace sums are
-one call each, so no piece becomes a polynomial of its own.  A sum of at
-least 1,500 term pairs, with at most 6 variables (keys below 2**60) and
-``int`` coefficients in every piece, runs in numpy when each term pair fits
-one int64; every other sum runs the dict loop over all its pieces.  Both are
-exact.  The packing (Monagan & Pearce, ISSAC 2009): with radius ``R_v`` one
-more than the largest ``maxexp_v(a) + maxexp_v(b)`` over the pieces, a
-monomial's index ``sum(e_v * prod(R_u, u < v))`` orders monomials as their
-keys do, and a term pair is ``index << shift | (c1*c2 + bias)`` with ``shift
-= 62 - bit_length(prod(R_v))`` and ``bias`` the largest ``max|c1| * max|c2|``
-over the pieces.  It fits when ``2 * bias < 2**shift`` and no merged sum can
-overflow (``bias * sum(min(len(a), len(b))) < 2**62``); :func:`_vectorizable`
-is that rule.  Each piece is packed in blocks of whole rows of its longer
+dict; ``a * b`` is its one-piece case, and cofactor rows are one call each,
+so no piece becomes a polynomial of its own.  Sums known to be symmetric
+may instead take :func:`_sum_at` (next section).  A sum of at least 1,500 term
+pairs with ``int`` coefficients in every piece runs in numpy when each term
+pair fits one int64; every other sum runs the dict loop over all its pieces.
+Both are exact.  The packing (Monagan & Pearce, ISSAC 2009): with radius
+``R_v`` one more than the largest ``maxexp_v(a) + maxexp_v(b)`` over the
+pieces, a monomial's index ``sum(e_v * prod(R_u, u < v))`` orders monomials
+as their keys do, and a term pair is ``index << shift | (c1*c2 + bias)`` with
+``shift = 62 - bit_length(prod(R_v))`` and ``bias`` the largest ``max|c1| *
+max|c2|`` over the pieces.  It fits when ``2 * bias < 2**shift`` and no
+merged sum can overflow (``bias * sum(min(len(a), len(b))) < 2**62``);
+:func:`_vectorizable` is that rule.  :func:`_exponents` reads the keys six
+fields (60 bits) at a time, so the number of variables enters only through
+the radii: the 6x6 determinants in ``t_2..t_7`` of a genus-7 split route
+run in numpy.  Each piece is packed in blocks of whole rows of its longer
 factor, at most ``_BLOCK_PAIRS`` (2**18, 2 MiB) term pairs each; a block is
 sorted in place and ``reduceat`` merges its equal indices.  The small reduced
 ``(index, sum)`` arrays of all blocks are merged by one stable argsort and
@@ -84,13 +87,49 @@ the allocator kept a varying share of the space between arrays, and the
 products (2 cores, Python 3.11): packed won 10 of 11 products of 1,500-2,000
 pairs, and the paths tied below; on the fused ``routes`` sums it won 5 of 9
 sums of 1,500-3,000 pairs and 42 of 49 larger ones.
+
+Sums known to be symmetric
+--------------------------
+:func:`_symmetric_sum_of_products` is for a sum that the caller knows to be
+symmetric in variables ``1..n`` and homogeneous of degree ``d``.  A symmetric
+polynomial is fixed by its terms at the dominant monomials, the exponent
+vectors ``a_1 >= ... >= a_n`` of degree ``d`` (the partitions of ``d`` with at
+most ``n`` parts; Macdonald, *Symmetric Functions*, I.6:
+``s_L = sum K_(L,mu) m_mu``).  So :func:`_sum_at` computes only those
+coefficients, each exactly, as ``sum(sign * a[m] * b[t - m])`` over the terms
+m of the shorter factor that divide t, and :func:`_expand_dominant` copies
+each one to every distinct permutation of its exponent vector.  The result
+equals the full sum whenever the sum is symmetric; nothing here checks that,
+so only sums symmetric by construction may take this path.  In ``schur``
+they are the full-window left minors of the Jacobi-Trudi matrix and the
+split routes' Laplace sums, all polynomials in the ``h_m(t_1..t_g)``.  For
+``(3, 7)`` the 64 minors hold 49,943 terms, 462 of them dominant; the full
+sums took 8.1 M term pairs, and the sums at the 897 dominant targets take
+0.48 M.
+
+:func:`_sum_at` tests ``m <= t`` with the guard bits of :func:`exact_divide`,
+on keys repacked into fields of ``bit_length(max exponent) + 1`` bits so that
+seven and more variables fit one int64, and looks ``t - m`` up in b's sorted
+repacked keys with ``searchsorted``.  It runs in numpy, in blocks of at most
+``_BLOCK_PAIRS`` pairs, when the repacked keys fit 63 bits, every
+coefficient is an ``int``, no target's sum can leave int64
+(``sum(len(a) * max|a| * max|b|) < 2**63``), and the target pairs number at
+least 1,500 and at least twice the terms of the b factors, which numpy reads
+and sorts; otherwise it runs an exact dict loop.  On the Trudi sums of eight
+curves with g <= 6 that rule took 112.8 ms in all, the faster path of every
+sum 112.8 ms, and the 1,500-pair cutoff alone 119.2 ms (2 cores, Python
+3.11).  :func:`det`, and with it
+``schur_tail_trudi``, the bialternant and the split routes' right-hand
+determinants, stays generic: a cofactor row of those matrices is not
+symmetric in all the variables.
 """
 
 from __future__ import annotations
 
 import heapq
 from fractions import Fraction
-from functools import reduce
+from functools import lru_cache, reduce
+from itertools import combinations, groupby
 from math import lcm, prod
 from operator import or_
 from types import MappingProxyType
@@ -138,9 +177,9 @@ _BITS = 10
 _FIELD = (1 << _BITS) - 1
 _MAX_EXP = (1 << (_BITS - 1)) - 1
 _VECTOR_CUTOFF = 1_500
-_VECTOR_KEY_LIMIT = 1 << 60  # at most six fields
 _BLOCK_PAIRS = 1 << 18
 _FIELD_SHIFTS = np.arange(0, 60, _BITS, dtype=np.int64)
+_CHUNK = (1 << 60) - 1  # six fields
 
 
 def _encode(mono) -> int:
@@ -164,10 +203,36 @@ def _decode(key: int) -> MultiIndex:
     return tuple.__new__(MultiIndex, pairs)
 
 
+def _fields(key: int) -> int:
+    """The number of fields up to the highest field set in ``key``."""
+    return -(-key.bit_length() // _BITS)
+
+
 def _guard_mask(key: int) -> int:
     """The guard bit of every field up to the highest field set in ``key``."""
-    fields = -(-key.bit_length() // _BITS)
-    return ((1 << (_BITS * fields)) - 1) // _FIELD << (_BITS - 1)
+    return ((1 << (_BITS * _fields(key))) - 1) // _FIELD << (_BITS - 1)
+
+
+def _exponents(keys, nvars: int) -> np.ndarray:
+    """The ``len(keys) x nvars`` int64 exponent matrix of the keys."""
+    if nvars <= 6:
+        chunks = [np.fromiter(keys, np.int64, len(keys))]
+    else:
+        # six fields (60 bits) at a time, so that every chunk fits an int64
+        chunks = [np.fromiter((k >> (_BITS * lo) & _CHUNK for k in keys), np.int64, len(keys))
+                  for lo in range(0, nvars, 6)]
+    return np.hstack([(c[:, None] >> _FIELD_SHIFTS) & _FIELD for c in chunks])[:, :nvars]
+
+
+def _keys(exps: np.ndarray) -> list[int]:
+    """The keys of the rows of an int64 exponent matrix: ``_exponents``
+    inverted."""
+    chunks = [(exps[:, lo:lo + 6] << _FIELD_SHIFTS[:exps.shape[1] - lo]).sum(axis=1).tolist()
+              for lo in range(0, exps.shape[1], 6)]
+    keys = chunks.pop()
+    while chunks:
+        keys = [k << (_BITS * 6) | c for k, c in zip(keys, chunks.pop())]
+    return keys
 
 
 def _grlex_key(m: MultiIndex):
@@ -188,25 +253,27 @@ def _vectorizable(pieces: list):
     for the dict loop."""
     if sum(len(t1) * len(t2) for _, t1, t2 in pieces) < _VECTOR_CUTOFF:
         return None
-    bias = merged = 0
-    exps, top = [], 0
+    bias = merged = top_key = 0
     for _, t1, t2 in pieces:
         for t in (t1, t2):
-            if max(t) >= _VECTOR_KEY_LIMIT or not {int}.issuperset(map(type, t.values())):
+            if not {int}.issuperset(map(type, t.values())):
                 return None
+            top_key = max(top_key, max(t))
         bias = max(bias, max(map(abs, t1.values())) * max(map(abs, t2.values())))
         # reduceat adds at most min(len) products of bounded size per piece,
         # and the merge adds the pieces' sums
         merged += min(len(t1), len(t2))
-        e1 = (np.fromiter(t1, np.int64, len(t1))[:, None] >> _FIELD_SHIFTS) & _FIELD
-        e2 = (np.fromiter(t2, np.int64, len(t2))[:, None] >> _FIELD_SHIFTS) & _FIELD
-        top = np.maximum(top, e1.max(axis=0) + e2.max(axis=0))
-        exps.append((e1, e2))
     if bias * merged >= 2**62:
         return None
+    nvars = max(1, _fields(top_key))
+    exps, top = [], 0
+    for _, t1, t2 in pieces:
+        e1, e2 = _exponents(t1, nvars), _exponents(t2, nvars)
+        top = np.maximum(top, e1.max(axis=0) + e2.max(axis=0))
+        exps.append((e1, e2))
     radii = (top + 1).tolist()
     shift = 62 - prod(radii).bit_length()
-    if 2 * bias >= 1 << shift:
+    if shift <= 0 or 2 * bias >= 1 << shift:
         return None
     return exps, radii, shift, bias
 
@@ -251,11 +318,10 @@ def _sum_vectorized(pieces: list, layout) -> dict:
         index, total = _reduce_runs(index[order], total[order])
     keep = total != 0
     index, total = index[keep], total[keep]
-    keys = np.zeros_like(index)
+    exps = np.empty((len(index), len(radii)), np.int64)
     for v, radius in enumerate(radii):
-        index, e = np.divmod(index, radius)
-        keys |= e << (_BITS * v)
-    return dict(zip(keys.tolist(), total.tolist()))
+        index, exps[:, v] = np.divmod(index, radius)
+    return dict(zip(_keys(exps), total.tolist()))
 
 
 def _sum_dict(pieces: list) -> dict:
@@ -273,13 +339,9 @@ def _sum_dict(pieces: list) -> dict:
     return {m: c for m, c in out.items() if c}
 
 
-def _sum_of_products(family: str, pieces) -> "SparsePolynomial":
-    """``sum(sign * a * b for sign, a, b in pieces)``, each sign +1 or -1.
-
-    The one product kernel: ``a * b`` is its one-piece case, and ``det``,
-    ``schur._left_minors`` and ``schur.schur_split_trudi`` build each
-    cofactor row or Laplace sum with one call.
-    """
+def _piece_terms(family: str, pieces) -> list:
+    """The ``(sign, a terms, b terms)`` of the pieces with two nonzero factors,
+    each factor checked against ``family``."""
     terms = []
     for sign, a, b in pieces:
         for p in (a, b):
@@ -287,6 +349,16 @@ def _sum_of_products(family: str, pieces) -> "SparsePolynomial":
                 raise FamilyMismatchError(f"cannot combine family {family!r} with {p.family!r}")
         if a._terms and b._terms:
             terms.append((sign, a._terms, b._terms))
+    return terms
+
+
+def _sum_of_products(family: str, pieces) -> "SparsePolynomial":
+    """``sum(sign * a * b for sign, a, b in pieces)``, each sign +1 or -1.
+
+    The general product kernel: ``a * b`` is its one-piece case, and
+    ``det`` builds each cofactor row with one call.
+    """
+    terms = _piece_terms(family, pieces)
     if not terms:
         return SparsePolynomial.zero(family)
     layout = _vectorizable(terms)
@@ -297,6 +369,167 @@ def _sum_of_products(family: str, pieces) -> "SparsePolynomial":
     if used & _guard_mask(used):
         raise OverflowError(f"a product exponent exceeds {_MAX_EXP}")
     return SparsePolynomial._raw(family, out)
+
+
+# -- sums known to be symmetric ------------------------------------------------
+
+
+def _targeted_layout(pieces: list, targets: list):
+    """``(nvars, width)`` of the packed sum at ``targets``, or None for the
+    dict loop."""
+    # numpy also reads and sorts every term of b, so it must pay for those too
+    pairs = len(targets) * sum(len(a) for _, a, _ in pieces)
+    if pairs < max(_VECTOR_CUTOFF, 2 * sum(len(b) for _, _, b in pieces)):
+        return None
+    bound = 0
+    used = reduce(or_, targets)
+    for _, a, b in pieces:
+        for t in (a, b):
+            if not {int}.issuperset(map(type, t.values())):
+                return None
+        # a target's share of a piece adds at most len(a) products
+        bound += len(a) * max(map(abs, a.values())) * max(map(abs, b.values()))
+        used |= reduce(or_, a) | reduce(or_, b)
+    nvars = max(1, _fields(used))
+    width = max(((used >> (_BITS * v)) & _FIELD).bit_length() for v in range(nvars)) + 1
+    if bound >= 2**63 or nvars * width > 63:
+        return None
+    return nvars, width
+
+
+def _sum_at_vectorized(pieces: list, targets: list, layout) -> dict:
+    nvars, width = layout
+    # Repacked keys: ``width``-bit fields whose top bit is a guard, as in
+    # exact_divide, so t - m clears a field's guard bit exactly when m
+    # exceeds t in that field.  Such a difference matches no key of b once
+    # the guards are flipped back; dropping it first spares its lookup.
+    weights = np.left_shift(1, width * np.arange(nvars, dtype=np.int64))
+    guard = int(weights.sum()) << (width - 1)
+    guarded = (_exponents(targets, nvars) @ weights) | guard
+    total = np.zeros(len(targets), np.int64)
+    for sign, a, b in pieces:
+        ka = _exponents(a, nvars) @ weights
+        ca = np.fromiter(a.values(), np.int64, len(a))
+        kb = _exponents(b, nvars) @ weights
+        order = np.argsort(kb)
+        kb = kb[order]
+        cb = np.fromiter(b.values(), np.int64, len(b))[order]
+        rows = max(1, _BLOCK_PAIRS // len(a))
+        for lo in range(0, len(targets), rows):
+            diff = guarded[lo:lo + rows, None] - ka
+            row, col = np.nonzero((diff & guard) == guard)
+            diff = diff[row, col] ^ guard
+            at = np.minimum(np.searchsorted(kb, diff), len(kb) - 1)
+            hit = kb[at] == diff
+            if not hit.any():
+                continue
+            index, sums = _reduce_runs(row[hit], ca[col[hit]] * cb[at[hit]])
+            total[lo + index] += sums if sign > 0 else -sums
+    return {t: c for t, c in zip(targets, total.tolist()) if c}
+
+
+def _sum_at_dict(pieces: list, targets: list) -> dict:
+    guard = _guard_mask(reduce(or_, (reduce(or_, a) for _, a, _ in pieces), reduce(or_, targets)))
+    out = dict.fromkeys(targets, 0)
+    for sign, a, b in pieces:
+        get = b.get
+        for t in out:
+            guarded = t | guard
+            acc = 0
+            for m, c in a.items():
+                d = guarded - m
+                if d & guard == guard:
+                    c2 = get(d ^ guard)
+                    if c2 is not None:
+                        acc += c * c2
+            out[t] += acc if sign > 0 else -acc
+    return {t: c for t, c in out.items() if c}
+
+
+def _sum_at(family: str, pieces, targets) -> "SparsePolynomial":
+    """The terms at the monomial keys ``targets`` of ``sum(sign * a * b)``.
+
+    Each is ``sum(sign * a[m] * b[t - m])`` over the terms m of the shorter
+    factor that divide t; no other monomial of the sum is computed.
+    """
+    terms = [(s, a, b) if len(a) <= len(b) else (s, b, a)
+             for s, a, b in _piece_terms(family, pieces)]
+    targets = list(dict.fromkeys(targets))
+    if not terms or not targets:
+        return SparsePolynomial.zero(family)
+    layout = _targeted_layout(terms, targets)
+    out = _sum_at_vectorized(terms, targets, layout) if layout else _sum_at_dict(terms, targets)
+    return SparsePolynomial._raw(family, out)
+
+
+@lru_cache(maxsize=128)
+def _dominant_keys(degree: int, nvars: int) -> tuple[int, ...]:
+    """Keys of the monomials of ``degree`` in variables 1..nvars with
+    nonincreasing exponents: the partitions of ``degree`` into at most
+    ``nvars`` parts."""
+    if degree > _MAX_EXP:
+        raise OverflowError(f"a dominant monomial of degree {degree} exceeds {_MAX_EXP}")
+    out = []
+
+    def place(rest, var, largest, key):
+        if not rest:
+            out.append(key)
+        elif var < nvars:
+            for e in range(min(rest, largest), -(-rest // (nvars - var)) - 1, -1):
+                place(rest - e, var + 1, e, key | e << (_BITS * var))
+
+    if degree >= 0:
+        place(degree, 0, degree, 0)
+    return tuple(out)
+
+
+@lru_cache(maxsize=128)
+def _arrangements(runs: tuple[int, ...]) -> np.ndarray:
+    """The distinct arrangements of runs of equal exponents, of lengths
+    ``runs``, on variables 1..sum(runs): one row per arrangement, holding
+    the run index at each variable."""
+    n = sum(runs)
+    rows = np.zeros((1, n), np.intp)  # run 0 takes the variables left over
+    free = np.arange(n)[None, :]
+    for j, length in enumerate(runs[1:], start=1):
+        width = free.shape[1]
+        chosen = np.array(list(combinations(range(width), length)), np.intp).reshape(-1, length)
+        rest = np.array([[v for v in range(width) if v not in c] for c in chosen.tolist()],
+                        np.intp).reshape(len(chosen), width - length)
+        rows = np.repeat(rows, len(chosen), axis=0)
+        picked = free[:, chosen].reshape(len(rows), length)
+        rows[np.arange(len(rows))[:, None], picked] = j
+        free = free[:, rest].reshape(len(rows), width - length)
+    rows.flags.writeable = False  # cached, and shared by every caller
+    return rows
+
+
+def _expand_dominant(form: "SparsePolynomial", nvars: int) -> "SparsePolynomial":
+    """The symmetric polynomial in variables 1..nvars whose terms at
+    nonincreasing exponent vectors are the terms of ``form``: each
+    coefficient goes to every distinct permutation of its exponent vector."""
+    orbits: dict[tuple[int, ...], list] = {}
+    for key, c in form._terms.items():
+        exps = [(key >> (_BITS * v)) & _FIELD for v in range(nvars)]
+        if key >> (_BITS * nvars) or any(x < y for x, y in zip(exps, exps[1:])):
+            raise ValueError(f"{_decode(key)} is not a nonincreasing exponent vector")
+        runs = [(e, len(list(run))) for e, run in groupby(exps)]
+        orbits.setdefault(tuple(n for _, n in runs), []).append(([e for e, _ in runs], c))
+    if not orbits:
+        return SparsePolynomial.zero(form.family)
+    exps, coeffs = [], []
+    for runs, members in orbits.items():
+        slots = _arrangements(runs)
+        exps.append(np.array([values for values, _ in members], np.int64)[:, slots].reshape(-1, nvars))
+        coeffs += [c for _, c in members for _ in range(len(slots))]
+    return SparsePolynomial._raw(form.family, dict(zip(_keys(np.vstack(exps)), coeffs)))
+
+
+def _symmetric_sum_of_products(family: str, pieces, degree: int, nvars: int) -> "SparsePolynomial":
+    """``_sum_of_products`` of a sum known to be symmetric in variables
+    1..nvars and homogeneous of ``degree``: computed at its dominant
+    monomials only, then expanded."""
+    return _expand_dominant(_sum_at(family, pieces, _dominant_keys(degree, nvars)), nvars)
 
 
 class SparsePolynomial:

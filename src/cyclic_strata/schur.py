@@ -18,10 +18,18 @@ computed four independent ways, all of which must agree exactly:
 
 The three Trudi routes are the bialternant's independent oracles; the
 Jacobi-Trudi and split routes share the full-window minors ``_left_minors``.
-Each of those minors, and each split route's Laplace sum over row subsets,
-is one call of the polynomial product kernel ``_sum_of_products``, as is
-every cofactor row of ``det``; only the accumulation of the signed products
-is shared, and the four determinants stay independent.
+Each of those minors is a polynomial in the ``h_m(t_1..t_g)``, and each
+split route's Laplace sum over row subsets is ``s_L`` itself, so all of them
+are symmetric in ``t_1..t_g``: ``_symmetric_sum_of_products`` computes each
+one only at the partitions of its degree with at most g parts and expands
+them by permutation.  That is exact for a symmetric polynomial (Macdonald,
+I.6), and it took ``schur_jacobi_trudi`` of (3, 7) from 0.22 to 0.07 s and
+of (3, 8), at genus 7, from 200 to 1.0 s.  ``det``, and so
+``schur_tail_trudi``, the bialternant and the split routes' right-hand
+determinants, stays a generic cofactor expansion whose rows are one
+``_sum_of_products`` call each: those rows are not symmetric in all the
+variables.  The routes share only the accumulation of signed products, and
+the four determinants stay independent.
 
 :func:`h_complete` expands the complete homogeneous functions in the ``t``
 variables.  :func:`h_from_T` writes h_n in the scaled power sums
@@ -79,7 +87,7 @@ from .polynomials import (
     MultiIndex,
     SparsePolynomial,
     _det_bareiss,
-    _sum_of_products,
+    _symmetric_sum_of_products,
     det,
     exact_divide,
 )
@@ -203,17 +211,18 @@ def _left_minors(parts: tuple[int, ...], g: int) -> dict:
     of rows S against columns 1..k with entries h_(parts_i + j - i) over the
     full window.  Shared by the Jacobi-Trudi route (k = g) and every split
     route (Laplace expansion along the first k columns).  Each minor expands
-    along its last column, ``sum_p +/- h * minor(S minus its p-th row)``, as
-    one sum-of-products call.
+    along its last column, ``sum_p +/- h * minor(S minus its p-th row)``, a
+    symmetric sum of degree ``sum(parts_i - i, i in S) + k(k+1)/2``.
     """
     minors: dict[tuple[int, ...], SparsePolynomial] = {(): SparsePolynomial.one("t")}
     for k in range(1, g + 1):
         for subset in combinations(range(1, g + 1), k):
-            minors[subset] = _sum_of_products("t", [
+            degree = sum(parts[i - 1] - i for i in subset) + k * (k + 1) // 2
+            minors[subset] = _symmetric_sum_of_products("t", [
                 (-1 if (p + k - 1) % 2 else 1, _h(parts[i - 1] + k - i, 1, g),
                  minors[subset[:p] + subset[p + 1:]])
                 for p, i in enumerate(subset)
-            ])
+            ], degree, g)
     return minors
 
 
@@ -264,7 +273,7 @@ def schur_split_trudi(diagram: YoungDiagram, g: int, k: int) -> SparsePolynomial
         ]
         sign = -1 if (sum(subset) + k * (k + 1) // 2) % 2 else 1
         pieces.append((sign, left, det(right_matrix)))
-    return _sum_of_products("t", pieces)
+    return _symmetric_sum_of_products("t", pieces, sum(parts), g)
 
 
 def h_recursion_check(n: int, m: int | None, l1: int, l2: int) -> tuple[bool, bool, bool]:

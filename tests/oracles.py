@@ -7,13 +7,19 @@ homogeneous, and reaches a head truncation by differentiating along the
 canonical index set, with the sign measured at one positive point.  The
 production ``schur_in_T`` builds the same forms from the Murnaghan-Nakayama
 bead walk instead.
+
+The generic minors build every full-window left minor of the Jacobi-Trudi
+matrix, and every split route's Laplace sum, as one ``_sum_of_products``
+over all monomials.  The production routes compute the same symmetric sums
+only at their dominant monomials and expand them by permutation.
 """
 
 from fractions import Fraction
 from functools import lru_cache
+from itertools import combinations
 
-from cyclic_strata.polynomials import SparsePolynomial, det
-from cyclic_strata.schur import h_from_T, schur_bialternant
+from cyclic_strata.polynomials import SparsePolynomial, _sum_of_products, det
+from cyclic_strata.schur import SymmetricWindow, h_complete, h_from_T, schur_bialternant
 from cyclic_strata.semigroup import CurveSignature, YoungDiagram, u_weights, young_diagram
 from cyclic_strata.strata import natural_k
 
@@ -56,3 +62,38 @@ def determinant_power_sum_form(parts: tuple[int, ...], sig: CurveSignature):
     assert reference and measured in (reference, -reference), (sig, k, measured, reference)
     as_T = derivative.scale(1 if measured == reference else -1)
     return as_T, as_T.rename_variables(renaming, "u")
+
+
+def _h(n: int, lo: int, g: int) -> SparsePolynomial:
+    return h_complete(n, SymmetricWindow(lo, g), g)
+
+
+@lru_cache(maxsize=None)
+def generic_left_minors(parts: tuple[int, ...], g: int) -> dict:
+    """Every determinant of rows S against columns 1..|S| of
+    ``|h_(parts_i + j - i)(t_1..t_g)|``, each one cofactor sum along its last
+    column over all monomials."""
+    minors = {(): SparsePolynomial.one("t")}
+    for k in range(1, g + 1):
+        for subset in combinations(range(1, g + 1), k):
+            minors[subset] = _sum_of_products("t", [
+                (-1 if (p + k - 1) % 2 else 1, _h(parts[i - 1] + k - i, 1, g),
+                 minors[subset[:p] + subset[p + 1:]])
+                for p, i in enumerate(subset)
+            ])
+    return minors
+
+
+def generic_split_sum(parts: tuple[int, ...], g: int, k: int) -> SparsePolynomial:
+    """The split determinant (full window in columns <= k, suffix window
+    t_(k+1)..t_g beyond) as its Laplace sum along the first k columns over
+    all monomials."""
+    minors = generic_left_minors(parts, g)
+    pieces = []
+    for subset in combinations(range(1, g + 1), k):
+        complement = [i for i in range(1, g + 1) if i not in subset]
+        right = det([[_h(parts[i - 1] + j - i, k + 1, g) for j in range(k + 1, g + 1)]
+                     for i in complement])
+        sign = -1 if (sum(subset) + k * (k + 1) // 2) % 2 else 1
+        pieces.append((sign, minors[subset], right))
+    return _sum_of_products("t", pieces)

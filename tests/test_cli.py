@@ -73,6 +73,32 @@ def test_gaps_count_is_capped_before_anything_is_built(capsys, monkeypatch):
         assert err == f"error: --count must lie in [1, {cap}], got {count}\n"
 
 
+def test_strata_and_natural_cap_the_genus_before_anything_is_built(capsys, monkeypatch):
+    cap = cli.TABLE_MAX_GENUS
+    assert cap == 1_000
+    assert CurveSignature(2, 2 * cap + 3).genus == cap + 1
+
+    def unreachable(*args):
+        raise AssertionError("a table row was built before the genus was checked")
+
+    monkeypatch.setattr(cli, "stratum_profile", unreachable)
+    monkeypatch.setattr(cli, "natural_k", unreachable)
+    message = f"genus {cap + 1} of (2,{2 * cap + 3}) exceeds the table cap {cap}"
+    code, out, err = run_cli(capsys, "strata", "2", str(2 * cap + 3))
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+    code, out, err = run_cli(capsys, "natural", "2,5", f"2,{2 * cap + 3}", "--format", "json")
+    assert (code, out, err) == (2, "", f"error: bad signature '2,{2 * cap + 3}': {message}\n")
+
+
+@pytest.mark.parametrize("token", ["3", "3,a", "3,4,5", ",", "3.0,4"])
+def test_natural_rejects_a_token_that_is_not_r_s(capsys, token):
+    code, out, err = run_cli(capsys, "natural", "2,5", token)
+    assert (code, out) == (2, "")
+    assert err == f"error: bad signature {token!r}: expected r,s with integers r and s\n"
+    code, _, err = run_cli(capsys, "natural", "2,4")
+    assert code == 2 and err == "error: bad signature '2,4': require gcd(r, s) = 1, got (2, 4)\n"
+
+
 def test_strata_json_roundtrip(capsys):
     code, out, _ = run_cli(capsys, "strata", "3", "4", "--format", "json")
     assert code == 0

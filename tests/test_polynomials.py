@@ -1,7 +1,7 @@
 import random
 import tracemalloc
 from fractions import Fraction
-from itertools import permutations
+from itertools import combinations_with_replacement, permutations
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -14,7 +14,13 @@ from cyclic_strata.polynomials import (
     MultiIndex,
     SparsePolynomial as Poly,
     _det_bareiss,
+    _dominant_keys,
+    _encode,
+    _expand_dominant,
+    _sum_at,
     _sum_of_products,
+    _symmetric_sum_of_products,
+    _targeted_layout,
     _vectorizable,
     det,
     exact_divide,
@@ -349,14 +355,16 @@ def test_large_products_match_tuple_oracle():
         # at most 6 variables and int coefficients: numpy
         (_random_poly(rng, 400, 6, 7, -50, 50), _random_poly(rng, 300, 6, 7, -50, 50), True),
         (_random_poly(rng, 250, 3, 40, -10**6, 10**6), _random_poly(rng, 120, 3, 40, -9, 9), True),
-        # 8 variables: dict
-        (_random_poly(rng, 220, 8, 5, -50, 50), _random_poly(rng, 150, 8, 5, -50, 50), False),
+        # 8 variables: numpy, the keys read six fields at a time
+        (_random_poly(rng, 220, 8, 5, -50, 50), _random_poly(rng, 150, 8, 5, -50, 50), True),
         # Fraction coefficients: dict
         (_random_poly(rng, 220, 6, 5, -50, 50).scale(Fraction(1, 3)),
          _random_poly(rng, 150, 6, 5, -50, 50), False),
         # coefficients too large for int64 sums: dict
         (_random_poly(rng, 200, 4, 5, -2**40, 2**40), _random_poly(rng, 150, 4, 5, -2**40, 2**40),
          False),
+        # 12 variables whose radii need more than 62 index bits: dict
+        (_random_poly(rng, 220, 12, 40, -50, 50), _random_poly(rng, 150, 12, 40, -50, 50), False),
     ]
     for a, b, vectorized in cases:
         assert len(a) * len(b) >= 25_000
@@ -567,3 +575,145 @@ def test_packed_product_memory_is_bounded_by_the_block(monkeypatch):
     whole, unblocked = traced_peak()
     assert product == unblocked
     assert blocked < 8 * 2**20 < whole
+
+
+# -- sums at target monomials and symmetric sums ---------------------------------
+
+
+def _at_targets(pieces, targets):
+    """The oracle sum's terms at ``targets``, a list of MultiIndex."""
+    full = _oracle_sum(pieces)
+    return {m: full[m] for m in targets if m in full}
+
+
+def _targeted_layout_of(pieces, targets):
+    shorter_first = [(s, a._terms, b._terms) if len(a) <= len(b) else (s, b._terms, a._terms)
+                     for s, a, b in pieces]
+    return _targeted_layout(shorter_first, [_encode(m) for m in targets])
+
+
+def test_sum_at_matches_the_full_sum_at_its_targets(monkeypatch):
+    rng = random.Random(67)
+    for nvars, size, packed in [(4, 60, True), (4, 5, False), (8, 50, True), (8, 4, False)]:
+        polys = [_random_poly(rng, rng.randint(size // 2, size), nvars, 4, -60, 60)
+                 for _ in range(5)]
+        for trial in range(3):
+            pieces = [((-1) ** (i + trial), rng.choice(polys), rng.choice(polys))
+                      for i in range(rng.randint(2, 4))]
+            full = _oracle_sum(pieces)
+            # targets the sum reaches, and three it does not: an exponent
+            # above every product's, a variable no factor uses, the constant
+            targets = rng.sample(sorted(full), len(full) // 2) + [
+                MultiIndex([(1, 9)]), MultiIndex([(nvars + 1, 1), (1, 2)]), MultiIndex()]
+            expected = {m: full[m] for m in targets if m in full}
+            assert len(expected) == len(full) // 2
+            assert (_targeted_layout_of(pieces, targets) is not None) == packed
+            for block in (1, 7, 1 << 18):
+                monkeypatch.setattr(polynomials, "_BLOCK_PAIRS", block)
+                got = _sum_at("t", pieces, [_encode(m) for m in targets])
+                assert got.family == "t" and dict(got.terms) == expected, (nvars, size, block)
+
+
+def test_sum_at_reads_zero_where_no_pair_reaches():
+    a = T1 + T2
+    b = T1 * T2 - T3
+    target = _encode(MultiIndex([(1, 3)]))
+    assert _sum_at("t", [(1, a, b)], [target]).is_zero()
+    assert _sum_at("t", [(1, a, b), (-1, b, a)], [_encode(MultiIndex([(1, 2), (2, 1)]))]).is_zero()
+    assert _sum_at("t", [(1, a, b)], []).is_zero()
+    assert _sum_at("t", [(1, a, Poly.zero("t"))], [target]).is_zero()
+
+
+def test_sum_at_coefficient_bound_takes_the_exact_loop():
+    # 63 targets t1^0..t1^62 against 32-term factors: 2,016 term pairs.  A
+    # target's sum adds at most 32 = 2^5 products, so max|a| * max|b| must
+    # stay below 2^58 for int64.
+    targets = [MultiIndex([(1, d)]) for d in range(63)]
+    for ca, cb, packed in [(2**29, 2**29 - 1, True), (2**29, 2**29, False),
+                           (-(2**40), 2**40, False)]:
+        a = Poly("t", {MultiIndex([(1, i)]): ca for i in range(32)})
+        b = Poly("t", {MultiIndex([(1, j)]): cb for j in range(32)})
+        pieces = [(1, a, b)]
+        assert (_targeted_layout_of(pieces, targets) is not None) == packed
+        got = dict(_sum_at("t", pieces, [_encode(m) for m in targets]).terms)
+        assert got == _at_targets(pieces, targets)
+        assert got[MultiIndex([(1, 31)])] == 32 * ca * cb
+    assert 32 * 2**40 * 2**40 > 2**63
+    # Fractions take the exact loop as well
+    a = _random_poly(random.Random(71), 40, 3, 4, -9, 9)
+    pieces = [(1, a, a.scale(Fraction(1, 3))), (-1, a, a)]
+    targets = sorted(_oracle_sum(pieces))
+    assert _targeted_layout_of(pieces, targets) is None
+    assert dict(_sum_at("t", pieces, [_encode(m) for m in targets]).terms) == _at_targets(
+        pieces, targets)
+
+
+def test_sum_at_family_check():
+    u = Poly.variable("u", 1)
+    for family, pieces in [("t", [(1, T1, u)]), ("u", [(1, T1, T2)]),
+                           ("t", [(1, Poly.zero("u"), T1)])]:
+        with pytest.raises(FamilyMismatchError):
+            _sum_at(family, pieces, [0])
+
+
+def _orbit_terms(exps, c):
+    return {MultiIndex(enumerate(p, start=1)): c for p in set(permutations(exps))}
+
+
+def test_expand_dominant_copies_each_coefficient_to_its_orbit():
+    form = Poly("t", {MultiIndex(enumerate((2, 2, 1, 0), start=1)): 5,
+                      MultiIndex([(1, 3)]): Fraction(-2, 3), MultiIndex(): 7})
+    expanded = _expand_dominant(form, 4)
+    assert len(expanded) == 12 + 4 + 1
+    assert dict(expanded.terms) == {**_orbit_terms((2, 2, 1, 0), 5),
+                                    **_orbit_terms((3, 0, 0, 0), Fraction(-2, 3)),
+                                    MultiIndex(): 7}
+    # eight variables: keys past 2**60, an orbit of 8!/(1! 2! 2! 3!) = 1,680
+    wide = Poly("t", {MultiIndex(enumerate((3, 2, 2, 1, 1), start=1)): -4})
+    assert dict(_expand_dominant(wide, 8).terms) == _orbit_terms((3, 2, 2, 1, 1, 0, 0, 0), -4)
+    assert len(_expand_dominant(wide, 8)) == 1680
+    assert _expand_dominant(Poly.zero("u"), 3) == Poly.zero("u")
+    for bad, nvars in [(T1 * T2 * T2, 2), (T3, 2), (T1 * T3, 3)]:
+        with pytest.raises(ValueError):
+            _expand_dominant(bad, nvars)
+
+
+def test_dominant_keys_are_the_partitions_with_at_most_nvars_parts():
+    for nvars in range(1, 6):
+        for degree in range(13):
+            expected = {
+                tuple(sorted(combo, reverse=True))
+                for combo in combinations_with_replacement(range(degree + 1), nvars)
+                if sum(combo) == degree
+            }
+            got = [_decode_dense(k, nvars) for k in _dominant_keys(degree, nvars)]
+            assert len(got) == len(set(got)) and set(got) == expected, (degree, nvars)
+    assert _dominant_keys(-1, 3) == ()
+    assert _dominant_keys(0, 3) == (0,)
+    with pytest.raises(OverflowError):
+        _dominant_keys(512, 2)
+
+
+def _decode_dense(key, nvars):
+    dense = [0] * nvars
+    for v, e in polynomials._decode(key):
+        dense[v - 1] = e
+    return tuple(dense)
+
+
+def test_symmetric_sum_of_products_matches_the_full_sum():
+    # Products of power sums are symmetric and homogeneous.
+    for nvars, packed in [(3, False), (6, True), (7, True)]:
+        p = {m: Poly("t", {MultiIndex([(v, m)]): 1 for v in range(1, nvars + 1)})
+             for m in range(1, 5)}
+        one = Poly.one("t")
+        square = p[1] * p[1]
+        cube = square * p[1]
+        pieces = [(1, square * square, (square * square).scale(3)), (-1, p[2] * p[3], p[3]),
+                  (1, p[4] * p[1], cube), (-1, cube * cube, square), (1, one, p[4] * p[4])]
+        targets = [MultiIndex((v + 1, e) for v, e in enumerate(_decode_dense(k, nvars)))
+                   for k in _dominant_keys(8, nvars)]
+        assert (_targeted_layout_of(pieces, targets) is not None) == packed
+        full = _sum_of_products("t", pieces)
+        assert _symmetric_sum_of_products("t", pieces, 8, nvars) == full
+        assert len(full) > 0

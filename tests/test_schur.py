@@ -5,7 +5,13 @@ from itertools import combinations_with_replacement, permutations
 import pytest
 
 from conftest import coprime_signatures
-from oracles import determinant_power_sum_form, power_sum_polynomial
+from oracles import (
+    determinant_power_sum_form,
+    generic_left_minors,
+    generic_split_sum,
+    power_sum_polynomial,
+)
+from test_acceptance import GENUS_6_SIGNATURES
 from cyclic_strata import schur
 from cyclic_strata.polynomials import MultiIndex, SparsePolynomial as Poly, det
 from cyclic_strata.schur import (
@@ -188,6 +194,32 @@ def test_route_equality_non_curve_diagram():
     assert schur_tail_trudi(d, 3) == ref
     for k in range(4):
         assert schur_split_trudi(d, 3, k) == ref
+
+
+def test_dominant_minors_and_split_sums_match_the_generic_oracle():
+    # Each left minor and Laplace sum is computed at its dominant monomials
+    # and expanded; the oracle multiplies out every monomial.
+    for r, s in GENUS_6_SIGNATURES:
+        sig = CurveSignature(r, s)
+        g = sig.genus
+        lam = young_diagram(sig)
+        parts = schur._padded_parts(lam, g)
+        minors = schur._left_minors(parts, g)
+        assert len(minors) == 2**g
+        assert minors == generic_left_minors(parts, g), (r, s)
+        for k in range(1, g):
+            assert schur_split_trudi(lam, g, k) == generic_split_sum(parts, g, k), (r, s, k)
+
+
+def test_trudi_routes_reach_genus_7():
+    sig = CurveSignature(3, 8)
+    g = sig.genus
+    lam = young_diagram(sig)
+    reference = schur_bialternant(lam, g)
+    assert g == 7 and len(reference) == 20714
+    assert schur_jacobi_trudi(lam, g) == reference
+    for k in range(1, g):
+        assert schur_split_trudi(lam, g, k) == reference, k
 
 
 def test_schur_symmetry_by_evaluation():
