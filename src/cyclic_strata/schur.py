@@ -70,7 +70,9 @@ the expanded form: the walk is cheap, and ``SchurForm.as_t`` builds the
 certificates ``"expanded"`` at genus <= ``EXPANSION_GATE`` and ``"sampled"``
 above it.  Above the gate the ``*_value`` functions evaluate each route
 exactly at rational points, which is how route agreement is checked for e.g.
-(5, 7) at genus 12.
+(5, 7) at genus 12.  They take the point times the lcm D of its
+denominators, so the h-tables, the alternant and Bareiss run in ``int``, and
+divide by ``D^|L|`` once at the end.  A point needs exactly g coordinates.
 """
 
 from __future__ import annotations
@@ -80,7 +82,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
-from math import factorial, prod
+from math import factorial, lcm, prod
 
 from .polynomials import (
     InexactDivisionError,
@@ -442,41 +444,53 @@ def transition_matrix(sig: CurveSignature, k: int) -> list[list[SparsePolynomial
 # -- exact pointwise evaluation of every route --------------------------------
 
 
+def _integer_point(values, g: int) -> tuple[list[int], int]:
+    """``values`` times the lcm D of their denominators, and D."""
+    point = [Fraction(v) for v in values]
+    if len(point) != g:
+        raise ValueError(f"expected {g} coordinates, got {len(point)}")
+    scale = lcm(*(x.denominator for x in point))
+    return [x.numerator * (scale // x.denominator) for x in point], scale
+
+
 def _trudi_value(diagram: YoungDiagram, g: int, values, start) -> Fraction:
     """Exact |h_(L_i + j - i)| at ``values``, column j over the window t_start(j)..t_g.
 
     One h-table per suffix window serves every entry: the table of
-    t_lo..t_g is the table of t_(lo+1)..t_g with t_lo added.
+    t_lo..t_g is the table of t_(lo+1)..t_g with t_lo added.  The tables are
+    taken at the point times D, in ints; every term of the determinant has
+    degree |L|, so it is divided by D^|L| once at the end.
     """
     parts = _padded_parts(diagram, g)
+    point, scale = _integer_point(values, g)
     top = parts[0] + g - 1 if g else 0
-    table = [Fraction(1)] + [Fraction(0)] * top
+    table = [1] + [0] * top
     tables = [table]
-    for v in range(g, 0, -1):
-        x = Fraction(values[v - 1])
+    for x in reversed(point):
         table = table[:]
         for d in range(1, top + 1):
             table[d] += x * table[d - 1]
         tables.append(table)
-    zero = Fraction(0)
     matrix = []
     for i in range(1, g + 1):
         row = []
         for j in range(1, g + 1):
             n = parts[i - 1] + j - i
-            row.append(tables[g + 1 - start(j)][n] if n >= 0 else zero)
+            row.append(tables[g + 1 - start(j)][n] if n >= 0 else 0)
         matrix.append(row)
-    return _det_bareiss(matrix)
+    return _det_bareiss(matrix) / scale ** sum(parts)
 
 
 def bialternant_value(diagram: YoungDiagram, g: int, values) -> Fraction:
+    """Exact alternant over Vandermonde at ``values``, both taken at the
+    point times D in ints: their degrees differ by |L|."""
     parts = _padded_parts(diagram, g)
-    vals = [Fraction(v) for v in values]
-    num = [[vals[j] ** (parts[i] + g - i - 1) for j in range(g)] for i in range(g)]
-    d = prod(vals[i] - vals[j] for i, j in combinations(range(g), 2))
+    point, scale = _integer_point(values, g)
+    num = [[x ** (parts[i] + g - i - 1) for x in point] for i in range(g)]
+    d = prod(x - y for x, y in combinations(point, 2))
     if not d:
         raise ZeroDivisionError("evaluation points must be pairwise distinct")
-    return _det_bareiss(num) / d
+    return _det_bareiss(num) / (d * scale ** sum(parts))
 
 
 def jacobi_trudi_value(diagram: YoungDiagram, g: int, values) -> Fraction:

@@ -14,6 +14,8 @@ from cyclic_strata.polynomials import (
     MultiIndex,
     SparsePolynomial as Poly,
     _det_bareiss,
+    _difference_layout,
+    _divide_heap,
     _dominant_keys,
     _encode,
     _expand_dominant,
@@ -25,6 +27,8 @@ from cyclic_strata.polynomials import (
     det,
     exact_divide,
 )
+from cyclic_strata.schur import jacobi_trudi_value, schur_bialternant
+from cyclic_strata.semigroup import CurveSignature, young_diagram
 
 T1 = Poly.variable("t", 1)
 T2 = Poly.variable("t", 2)
@@ -290,8 +294,10 @@ def test_inexact_division_raises():
         # the quotient would need t1^800, past the dividend's t1^300
         (T2 * T1 ** 300, T2 + T1 ** 500),
         (T1 * T2 + Poly.one("t"), T1 + T2),
-        # a Vandermonde factor, as the bialternant divides by
+        # a Vandermonde factor, as the bialternant divides by; the second
+        # dividend's coefficients sum to 0, though not within each degree
         (T1 ** 2 + T2, T1 - T2),
+        (T1 - T1 ** 2, T1 - T2),
     ]:
         with pytest.raises(InexactDivisionError):
             exact_divide(p, q)
@@ -439,6 +445,85 @@ def test_exact_division_roundtrip_in_eight_variables():
         assert dict(prod.terms) == _oracle_product(a, b)
         assert exact_divide(prod, b) == a
         assert exact_divide(prod.scale(Fraction(2, 7)), b.scale(3)) == a.scale(Fraction(2, 21))
+
+
+# -- division by t_a - t_b -----------------------------------------------------
+
+
+def _heap_quotient(p, q):
+    return Poly._raw(p.family, _divide_heap(p._terms, q._terms))
+
+
+@settings(max_examples=60)
+@given(st.data())
+def test_difference_division_matches_the_heap_loop(data):
+    nvars = data.draw(st.integers(2, 8))
+    a, b = data.draw(st.lists(st.integers(1, nvars), min_size=2, max_size=2, unique=True))
+    q = data.draw(poly_strategy(nvars=nvars, max_exp=5, max_terms=12, coeff=st.integers(-50, 50)))
+    d = Poly.variable("t", a) - Poly.variable("t", b)
+    p = q * d
+    assert p.is_zero() or _difference_layout(p._terms, d._terms) is not None
+    assert exact_divide(p, d) == q == _heap_quotient(p, d)
+    # a monomial m more, or m - m * t_a (two groups, one of them cancelling
+    # the other's sum), leaves a remainder, which both paths find
+    m = Poly("t", {MultiIndex(data.draw(st.lists(
+        st.tuples(st.integers(1, nvars), st.integers(0, 6)), max_size=nvars))): 1})
+    for extra in (p + m, p + m - m * Poly.variable("t", a)):
+        assert _difference_layout(extra._terms, d._terms) is not None
+        for divide in (exact_divide, _heap_quotient):
+            with pytest.raises(InexactDivisionError):
+                divide(extra, d)
+
+
+def test_difference_division_is_taken(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("the heap loop ran")
+
+    monkeypatch.setattr(polynomials, "_divide_heap", refuse)
+    rng = random.Random(11)
+    for nvars, a, b in [(2, 1, 2), (2, 2, 1), (6, 5, 3), (8, 2, 8), (8, 8, 7)]:
+        q = _random_poly(rng, 60, nvars, 6, -99, 99)
+        d = Poly.variable("t", a) - Poly.variable("t", b)
+        assert exact_divide(q * d, d) == q
+    with pytest.raises(InexactDivisionError):
+        exact_divide(T1 ** 2 + T2, T1 - T2)
+    # every factor of the Vandermonde of a curve
+    for r, s in [(2, 9), (3, 5)]:
+        sig = CurveSignature(r, s)
+        lam, g = young_diagram(sig), sig.genus
+        ones = [1] * g
+        assert schur_bialternant(lam, g).evaluate(dict(enumerate(ones, 1))) == \
+            jacobi_trudi_value(lam, g, ones)
+
+
+def test_difference_division_falls_back_to_the_heap_loop(monkeypatch):
+    rng = random.Random(13)
+    q = _random_poly(rng, 30, 3, 4, -9, 9)
+    diff = T1 - T2
+    cases = [  # (quotient, divisor)
+        (q.scale(Fraction(1, 3)), diff),  # a Fraction coefficient
+        ((T1 + T2).scale(2**61), diff),  # a dividend whose |coefficients| sum to 2**62
+        (Poly.variable("t", 8, 300) * T1 - T2, diff),  # 8 fields of 10 bits: past 63
+        (q, Poly.variable("t", 1, 2) - T2),
+        (q, T1.scale(2) - T2.scale(2)),
+        (q, T1 - T2 + Poly.one("t")),
+        (q, T1 - Poly.one("t")),
+        (q, Poly.one("t") - T2),
+    ]
+    below = (T1 + T2).scale(2**61 - 1)
+    assert _difference_layout((below * diff)._terms, diff._terms) is not None
+    assert exact_divide(below * diff, diff) == below
+
+    def refuse(*args):
+        raise AssertionError("the difference path ran")
+
+    monkeypatch.setattr(polynomials, "_divide_difference", refuse)
+    for quotient, d in cases:
+        p = quotient * d
+        assert _difference_layout(p._terms, d._terms) is None
+        assert exact_divide(p, d) == quotient
+        with pytest.raises(InexactDivisionError):
+            exact_divide(p + Poly.variable("t", 3, 9), d)
 
 
 # -- the sum-of-products kernel ------------------------------------------------

@@ -1,8 +1,10 @@
+import functools
 import math
 from fractions import Fraction
 from itertools import combinations_with_replacement, permutations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import coprime_signatures
 from oracles import (
@@ -17,6 +19,8 @@ from cyclic_strata.polynomials import MultiIndex, SparsePolynomial as Poly, det
 from cyclic_strata.schur import (
     ExpansionLimitError,
     SymmetricWindow,
+    _partition,
+    _remove_rim_hooks,
     _schur_in_T_cached,
     bialternant_value,
     h_complete,
@@ -431,3 +435,125 @@ def test_value_routes_on_the_empty_matrix():
     assert tail_trudi_value(empty, 0, ()) == 1
     assert split_trudi_value(empty, 0, 0, ()) == 1
     assert bialternant_value(empty, 0, ()) == 1
+
+
+VALUE_CURVES = [(2, 3), (2, 5), (3, 4), (2, 7), (3, 5), (2, 9), (2, 11)]  # g <= 5
+
+
+@functools.lru_cache(maxsize=None)
+def _curve_schur(r, s):
+    sig = CurveSignature(r, s)
+    lam = young_diagram(sig)
+    return lam, sig.genus, schur_bialternant(lam, sig.genus)
+
+
+def _trudi_values(lam, g, values):
+    yield jacobi_trudi_value(lam, g, values)
+    yield tail_trudi_value(lam, g, values)
+    for k in range(g + 1):
+        yield split_trudi_value(lam, g, k, values)
+
+
+coordinate = st.builds(Fraction, st.integers(-40, 40), st.integers(1, 12))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(VALUE_CURVES), st.data())
+def test_value_routes_at_rational_points(curve, data):
+    lam, g, poly = _curve_schur(*curve)
+    values = data.draw(st.lists(coordinate, min_size=g, max_size=g, unique=True))
+    expected = poly.evaluate(dict(enumerate(values, start=1)))
+    for got in [bialternant_value(lam, g, values), *_trudi_values(lam, g, values)]:
+        assert type(got) is Fraction and got == expected
+    # ints, Fractions and a zero in one point
+    mixed = [0, -3, Fraction(5, 6), Fraction(-7, 4), 2][:g]
+    expected = poly.evaluate(dict(enumerate(mixed, start=1)))
+    assert bialternant_value(lam, g, mixed) == expected
+    assert all(got == expected for got in _trudi_values(lam, g, mixed))
+    if g > 1:
+        # the Trudi routes divide by nothing, the bialternant by the Vandermonde
+        repeated = values[:-1] + values[:1]
+        expected = poly.evaluate(dict(enumerate(repeated, start=1)))
+        assert all(got == expected for got in _trudi_values(lam, g, repeated))
+        with pytest.raises(ZeroDivisionError):
+            bialternant_value(lam, g, repeated)
+
+
+def test_value_routes_reject_points_of_the_wrong_length():
+    lam = young_diagram(CurveSignature(2, 5))
+    for values in ([Fraction(1, 2), Fraction(2, 3), 5], [Fraction(1, 2)], []):
+        for route in (bialternant_value, jacobi_trudi_value, tail_trudi_value):
+            with pytest.raises(ValueError):
+                route(lam, 2, values)
+        with pytest.raises(ValueError):
+            split_trudi_value(lam, 2, 1, values)
+    empty = YoungDiagram(())
+    with pytest.raises(ValueError):
+        jacobi_trudi_value(empty, 0, [1])
+
+
+# -- the bead walk against border strips on the diagram -------------------------
+
+
+def _border_strips(parts, m):
+    """{mu: (-1)^(rows - 1)} over the m-box border strips L/mu of L.
+
+    Every partition mu inside L with m boxes fewer is tried; L/mu is a
+    border strip when its boxes are edge-connected and hold no 2x2 square
+    (Macdonald, *Symmetric Functions*, I.3 Ex. 11).
+    """
+    out = {}
+    for mu in _subpartitions(parts, sum(parts) - m):
+        boxes = {(i, j) for i, row in enumerate(parts)
+                 for j in range(mu[i] if i < len(mu) else 0, row)}
+        if any({(i + 1, j), (i, j + 1), (i + 1, j + 1)} <= boxes for i, j in boxes):
+            continue
+        seen, todo = set(), [min(boxes)]
+        while todo:
+            i, j = todo.pop()
+            if (i, j) in boxes and (i, j) not in seen:
+                seen.add((i, j))
+                todo += [(i + 1, j), (i - 1, j), (i, j + 1), (i, j - 1)]
+        if seen == boxes:
+            out[mu] = (-1) ** (len({i for i, _ in boxes}) - 1)
+    return out
+
+
+def _subpartitions(parts, size, bound=None):
+    """The partitions of ``size`` inside the diagram ``parts``."""
+    if not size:
+        yield ()
+        return
+    if not parts:
+        return
+    for first in range(min(parts[0], size, bound or size), 0, -1):
+        for rest in _subpartitions(parts[1:], size - first, first):
+            yield (first,) + rest
+
+
+def _bead_mask(parts, beads):
+    return sum(1 << (part + beads - 1 - i) for i, part in
+               enumerate(list(parts) + [0] * (beads - len(parts))))
+
+
+diagram_strategy = st.integers(0, 12).flatmap(
+    lambda n: st.sampled_from(list(partitions(n))))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.tuples(diagram_strategy, st.integers(-3, 3)), min_size=1, max_size=4),
+       st.integers(1, 12), st.integers(0, 3))
+def test_rim_hook_removal_matches_border_strips(combination, m, spare):
+    beads = max(len(parts) for parts, _ in combination) + spare
+    state, expected = {}, {}
+    for parts, c in combination:
+        mask = _bead_mask(parts, beads)
+        assert _partition(mask) == parts
+        state[mask] = state.get(mask, 0) + c
+        for mu, sign in _border_strips(parts, m).items():
+            expected[mu] = expected.get(mu, 0) + c * sign
+    state = {mask: c for mask, c in state.items() if c}
+    got = _remove_rim_hooks(state, m)
+    assert all(mask.bit_count() == beads for mask in got)
+    assert {_partition(mask): c for mask, c in got.items()} == {
+        mu: c for mu, c in expected.items() if c}
