@@ -503,7 +503,9 @@ def _border_strips(parts, m):
     (Macdonald, *Symmetric Functions*, I.3 Ex. 11).
     """
     out = {}
-    for mu in _subpartitions(parts, sum(parts) - m):
+    inside = (mu for mu in partitions(sum(parts) - m)
+              if len(mu) <= len(parts) and all(x <= y for x, y in zip(mu, parts)))
+    for mu in inside:
         boxes = {(i, j) for i, row in enumerate(parts)
                  for j in range(mu[i] if i < len(mu) else 0, row)}
         if any({(i + 1, j), (i, j + 1), (i + 1, j + 1)} <= boxes for i, j in boxes):
@@ -517,18 +519,6 @@ def _border_strips(parts, m):
         if seen == boxes:
             out[mu] = (-1) ** (len({i for i, _ in boxes}) - 1)
     return out
-
-
-def _subpartitions(parts, size, bound=None):
-    """The partitions of ``size`` inside the diagram ``parts``."""
-    if not size:
-        yield ()
-        return
-    if not parts:
-        return
-    for first in range(min(parts[0], size, bound or size), 0, -1):
-        for rest in _subpartitions(parts[1:], size - first, first):
-            yield (first,) + rest
 
 
 def _bead_mask(parts, beads):
