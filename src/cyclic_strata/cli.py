@@ -21,6 +21,7 @@ import cmath
 import csv
 import io
 import json
+import math
 import sys
 from functools import lru_cache
 
@@ -255,6 +256,8 @@ def _load_json(path: str):
 
 
 def cmd_mu(args) -> int:
+    if not (math.isfinite(args.tol) and args.tol >= 0):
+        raise SystemExit2(f"--tol must be a finite number >= 0, got {args.tol}")
     curve_spec = _load_json(args.curve)
     points_spec = _load_json(args.points)
     try:

@@ -32,22 +32,18 @@ so on).
 
 Exact division
 --------------
-:func:`exact_divide` has two paths.  A divisor ``t_a - t_b`` (two
-single-variable degree-1 terms, coefficients +1 and -1), with ``int``
-dividend coefficients whose absolute values sum below 2**62 and keys that
-repack into one int64 field per variable, takes :func:`_divide_difference`:
-the terms with equal exponents off ``t_a, t_b`` and equal ``d = e_a + e_b``
-form a group, and the quotient's coefficient at ``t_a^e t_b^(d-1-e)`` is
-``-sum(p_f, f <= e)`` over the group's terms ``p_f t_a^f t_b^(d-f)``, prefix
-sums in numpy.  It is exact iff every group sums to 0.  Its one caller,
-``schur.schur_bialternant``, divides by the Vandermonde's factors one at a
-time: (3, 7) took 0.06 s and takes 0.02 s, and (3, 8), at genus 7, 2.3 and
-0.9 s (2 cores, Python 3.11).  Every other division is heap division
-(Monagan & Pearce, "Sparse polynomial division using a heap", JSC 2011) in
-key order.  Because no field carries, comparing keys as ints is a monomial
-order: lexicographic with the highest variable first.  An exact quotient
-does not depend on the order.  A guard mask over every field either operand
-uses turns the divisibility test into two int operations.
+The package divides only by a Vandermonde factor: :func:`exact_divide`
+takes a divisor ``t_a - t_b`` with a != b and raises ``ValueError`` for any
+other.  :func:`_divide_difference` computes the quotient by grouped prefix
+sums: the terms with equal exponents off ``t_a, t_b`` and equal ``d = e_a +
+e_b`` form a group, and the quotient's coefficient at ``t_a^e t_b^(d-1-e)``
+is ``-sum(p_f, f <= e)`` over the group's terms ``p_f t_a^f t_b^(d-f)``.  It
+is exact iff every group sums to 0.  The arrays are int64 when the
+coefficients are ints whose absolute values sum below 2**62 and the repacked
+keys fit 63 bits, and Python objects otherwise, so the quotient is exact for
+any coefficients.  Its one caller, ``schur.schur_bialternant``, divides by
+the Vandermonde's factors one at a time, in int64 up to (3, 8) at least:
+(3, 7) takes 0.02 s and (3, 8), at genus 7, 0.9 s (2 cores, Python 3.11).
 
 Determinants
 ------------
@@ -59,11 +55,11 @@ cofactor row ``sum_j +/- a_(i,j) * minor_j`` is one fused sum of products (see
 below).  It has no size dispatch: polynomial Bareiss, whose every step is an
 exact division, took about 100 times as long on the 7x7 alternants of
 (2, 15).  The exact-number value routes use :func:`_det_bareiss`,
-integer-preserving Bareiss elimination on rows scaled by the lcm of their
-denominators.  The routes clear the point's denominators first, so they
-build their entries and run the elimination in ``int`` and divide once at the
-end: the 34 value operations of the ``routes`` benchmark, at genus 12, took
-about 45 ms with ``Fraction`` entries and take 15 ms.
+integer-preserving Bareiss elimination over ``int`` entries.  The routes
+clear the point's denominators first, so they build their entries and run the
+elimination in ``int`` and make one ``Fraction`` at the end: the 34 value
+operations of the ``routes`` benchmark, at genus 12, took about 45 ms with
+``Fraction`` entries and take 15 ms.
 
 Performance notes
 -----------------
@@ -117,9 +113,9 @@ split routes' Laplace sums, all polynomials in the ``h_m(t_1..t_g)``.  For
 sums took 8.1 M term pairs, and the sums at the 897 dominant targets take
 0.48 M.
 
-:func:`_sum_at` tests ``m <= t`` with the guard bits of :func:`exact_divide`,
-on keys repacked into fields of ``bit_length(max exponent) + 1`` bits so that
-seven and more variables fit one int64, and looks ``t - m`` up in b's sorted
+:func:`_sum_at` tests ``m <= t`` with a guard bit atop every field, on keys
+repacked into fields of ``bit_length(max exponent) + 1`` bits so that seven
+and more variables fit one int64, and looks ``t - m`` up in b's sorted
 repacked keys with ``searchsorted``.  It runs in numpy, in blocks of at most
 ``_BLOCK_PAIRS`` pairs, when the repacked keys fit 63 bits, every
 coefficient is an ``int``, no target's sum can leave int64
@@ -136,11 +132,10 @@ symmetric in all the variables.
 
 from __future__ import annotations
 
-import heapq
 from fractions import Fraction
 from functools import lru_cache, reduce
 from itertools import combinations, groupby
-from math import lcm, prod
+from math import prod
 from operator import or_
 from types import MappingProxyType
 from typing import Iterable, Mapping, Union
@@ -410,7 +405,7 @@ def _targeted_layout(pieces: list, targets: list):
 def _sum_at_vectorized(pieces: list, targets: list, layout) -> dict:
     nvars, width = layout
     # Repacked keys: ``width``-bit fields whose top bit is a guard, as in
-    # exact_divide, so t - m clears a field's guard bit exactly when m
+    # _sum_at_dict, so t - m clears a field's guard bit exactly when m
     # exceeds t in that field.  Such a difference matches no key of b once
     # the guards are flipped back; dropping it first spares its lookup.
     weights = np.left_shift(1, width * np.arange(nvars, dtype=np.int64))
@@ -674,11 +669,6 @@ class SparsePolynomial:
 
     __rmul__ = __mul__
 
-    def __truediv__(self, other):
-        if not isinstance(other, SparsePolynomial):
-            return NotImplemented
-        return exact_divide(self, other)
-
     def scale(self, c: Coeff) -> "SparsePolynomial":
         if not c:
             return SparsePolynomial.zero(self.family)
@@ -790,50 +780,48 @@ class SparsePolynomial:
 
 
 def exact_divide(p: SparsePolynomial, q: SparsePolynomial) -> SparsePolynomial:
-    """Return p / q, raising :class:`InexactDivisionError` unless exact."""
+    """Return p / q for a divisor ``q = t_a - t_b`` with a != b, raising
+    :class:`InexactDivisionError` unless exact."""
     p._check_family(q)
     if not q:
         raise ZeroDivisionError("polynomial division by zero")
-    layout = _difference_layout(p._terms, q._terms)
-    quo = _divide_difference(p._terms, *layout) if layout else _divide_heap(p._terms, q._terms)
-    return SparsePolynomial._raw(p.family, quo)
+    signs = {c: k for k, c in q._terms.items()}
+    ka, kb = signs.get(1, 0), signs.get(-1, 0)
+    a, b = ((k.bit_length() - 1) // _BITS for k in (ka, kb))
+    if len(q) != 2 or not ka or not kb or (ka, kb) != (1 << (_BITS * a), 1 << (_BITS * b)):
+        raise ValueError(f"exact_divide divides only by t_a - t_b with a != b, not by {q}")
+    return SparsePolynomial._raw(p.family, _divide_difference(p._terms, a, b) if p else {})
 
 
-def _difference_layout(terms: dict, divisor: dict):
-    """``(a, b, nvars, width)`` when ``divisor`` is ``t_(a+1) - t_(b+1)`` and
-    the coefficients of ``terms`` are ints whose absolute values sum below
-    2**62, or None for the heap loop."""
-    if len(divisor) != 2 or not terms:
-        return None
-    (ka, ca), (kb, cb) = sorted(divisor.items(), key=lambda kc: -kc[1])
-    fields = [(k.bit_length() - 1) // _BITS for k in (ka, kb)]
-    if (ca, cb) != (1, -1) or 0 in (ka, kb) or [ka, kb] != [1 << (_BITS * f) for f in fields]:
-        return None
-    total = sum(map(abs, terms.values()))  # a Fraction if any coefficient is one
-    if type(total) is not int or total >= 2**62:
-        return None
-    used = reduce(or_, terms, ka | kb)
-    nvars = _fields(used)
-    # one field per variable, wide enough for e_a + e_b
-    width = (2 * max((used >> (_BITS * v)) & _FIELD for v in range(nvars))).bit_length()
-    if nvars * width > 63:
-        return None
-    return fields[0], fields[1], nvars, width
-
-
-def _divide_difference(terms: dict, a: int, b: int, nvars: int, width: int) -> dict:
+def _divide_difference(terms: dict, a: int, b: int) -> dict:
     """The quotient by ``t_(a+1) - t_(b+1)`` by grouped prefix sums.
 
     ``q_e = -sum(p_f, f <= e)`` holds from a group's term at ``e_a = f`` up
-    to its next term, so each run is one ``np.repeat``.
+    to its next term, so each run is one ``np.repeat``.  The coefficients
+    are int64 when they are ints whose absolute values sum below 2**62 (no
+    prefix sum can overflow), and the packed keys when they fit 63 bits;
+    either is a Python-object array otherwise, which numpy sums and sorts
+    exactly.
     """
+    used = reduce(or_, terms, 1 << (_BITS * a) | 1 << (_BITS * b))
+    nvars = _fields(used)
+    # one field per variable, wide enough for e_a + e_b
+    width = (2 * max((used >> (_BITS * v)) & _FIELD for v in range(nvars))).bit_length()
     exps = _exponents(terms, nvars)
-    coeffs = np.fromiter(terms.values(), np.int64, len(terms))
+    total = sum(map(abs, terms.values()))  # a Fraction if any coefficient is one
+    if type(total) is int and total < 2**62:
+        coeffs = np.fromiter(terms.values(), np.int64, len(terms))
+    else:
+        coeffs = np.array(list(terms.values()), object)
     # Field a holds d and field b holds e_a, packed lowest, so that sorting
     # the packed rows sorts each group by e_a and keeps it contiguous.
     exps[:, a] += exps[:, b]
     exps[:, b] = exps[:, a] - exps[:, b]
-    packed = exps @ np.left_shift(1, width * ((np.arange(nvars) - b) % nvars))
+    shifts = width * ((np.arange(nvars) - b) % nvars)
+    if nvars * width <= 63:
+        packed = exps @ np.left_shift(1, shifts)
+    else:
+        packed = exps.astype(object) @ np.array([1 << s for s in shifts.tolist()], object)
     order = np.argsort(packed)
     group, exps, coeffs = packed[order] >> width, exps[order], coeffs[order]
     ea = exps[:, b]
@@ -848,46 +836,6 @@ def _divide_difference(terms: dict, a: int, b: int, nvars: int, width: int) -> d
     out[:, b] = out[:, a] - 1 - e
     out[:, a] = e
     return dict(zip(_keys(out), (-np.repeat(prefix, runs)).tolist()))
-
-
-def _divide_heap(terms: dict, divisor: dict) -> dict:
-    """The quotient by heap division, for any divisor and coefficients."""
-    qkeyed = sorted(divisor.items(), reverse=True)
-    lead, lead_c = qkeyed[0]
-    qtail = qkeyed[1:]
-    rem = dict(terms)
-    # Every key met below lies in the fields of p or q.  An exact quotient
-    # never takes an exponent past p's, so a remainder key with a guard bit
-    # set proves the division inexact.
-    guard = _guard_mask(max(max(rem, default=0), lead))
-    heap = [-k for k in rem]
-    heapq.heapify(heap)
-    quo: dict = {}
-    while rem:
-        # Lazy deletion: the heap may hold keys cancelled since they were pushed.
-        while -heap[0] not in rem:
-            heapq.heappop(heap)
-        m = -heapq.heappop(heap)
-        if ((m | guard) - lead) & guard != guard:
-            raise InexactDivisionError("leading term not divisible; division is not exact")
-        qm = m - lead
-        c = rem.pop(m)
-        qc = Fraction(c, lead_c) if c % lead_c else c // lead_c
-        quo[qm] = qc
-        for kq, cq in qtail:
-            mm = qm + kq
-            d = qc * cq
-            c = rem.get(mm)
-            if c is None:
-                if mm & guard:
-                    raise InexactDivisionError("quotient exponent exceeds the dividend's")
-                heapq.heappush(heap, -mm)
-                rem[mm] = -d
-            elif c == d:
-                del rem[mm]
-            else:
-                rem[mm] = c - d
-    return quo
 
 
 # -- determinants ------------------------------------------------------------
@@ -929,19 +877,18 @@ def det(matrix) -> SparsePolynomial:
     return minor(tuple(range(n)))
 
 
-def _det_bareiss(matrix) -> Fraction:
-    """Exact determinant of ``int``/``Fraction`` entries by integer Bareiss; a
-    remainder raises :class:`InexactDivisionError`, and 0x0 gives 1."""
+def _det_bareiss(matrix) -> int:
+    """Exact determinant of ``int`` entries by integer Bareiss; a remainder
+    raises :class:`InexactDivisionError`, and 0x0 gives 1."""
     n = len(matrix)
-    scales = [lcm(*(x.denominator for x in row)) for row in matrix]
-    m = [[x.numerator * (d // x.denominator) for x in row] for row, d in zip(matrix, scales)]
+    m = [list(row) for row in matrix]
     sign = 1
     prev = 1
     for k in range(n - 1):
         if not m[k][k]:
             pivot_row = next((i for i in range(k + 1, n) if m[i][k]), None)
             if pivot_row is None:
-                return Fraction(0)
+                return 0
             m[k], m[pivot_row] = m[pivot_row], m[k]
             sign = -sign
         top = m[k]
@@ -954,4 +901,4 @@ def _det_bareiss(matrix) -> Fraction:
                     raise InexactDivisionError("Bareiss step left a remainder")
                 row[j] = q
         prev = pivot
-    return Fraction(sign * m[-1][-1], prod(scales)) if n else Fraction(1)
+    return sign * m[-1][-1] if n else 1

@@ -478,7 +478,7 @@ def _trudi_value(diagram: YoungDiagram, g: int, values, start) -> Fraction:
             n = parts[i - 1] + j - i
             row.append(tables[g + 1 - start(j)][n] if n >= 0 else 0)
         matrix.append(row)
-    return _det_bareiss(matrix) / scale ** sum(parts)
+    return Fraction(_det_bareiss(matrix), scale ** sum(parts))
 
 
 def bialternant_value(diagram: YoungDiagram, g: int, values) -> Fraction:
@@ -490,7 +490,7 @@ def bialternant_value(diagram: YoungDiagram, g: int, values) -> Fraction:
     d = prod(x - y for x, y in combinations(point, 2))
     if not d:
         raise ZeroDivisionError("evaluation points must be pairwise distinct")
-    return _det_bareiss(num) / (d * scale ** sum(parts))
+    return Fraction(_det_bareiss(num), d * scale ** sum(parts))
 
 
 def jacobi_trudi_value(diagram: YoungDiagram, g: int, values) -> Fraction:

@@ -293,6 +293,15 @@ def test_mu_rejects_empty_repeated_or_non_finite_points(capsys, tmp_path, points
     assert err.startswith("error: ")
 
 
+@pytest.mark.parametrize("tol", ["nan", "inf", "-1"])
+def test_mu_rejects_a_tolerance_that_is_not_finite_and_nonnegative(capsys, tmp_path, tol):
+    curve_path, points_path = write_curve_files(tmp_path)
+    code, out, err = run_cli(capsys, "mu", "--curve", str(curve_path),
+                             "--points", str(points_path), "--tol", tol)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: --tol")
+
+
 def test_mu_has_no_format_flag(tmp_path):
     # mu always prints JSON, so it does not accept --format.
     curve_path, points_path = write_curve_files(tmp_path)

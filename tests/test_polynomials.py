@@ -3,6 +3,7 @@ import tracemalloc
 from fractions import Fraction
 from itertools import combinations_with_replacement, permutations
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -14,8 +15,6 @@ from cyclic_strata.polynomials import (
     MultiIndex,
     SparsePolynomial as Poly,
     _det_bareiss,
-    _difference_layout,
-    _divide_heap,
     _dominant_keys,
     _encode,
     _expand_dominant,
@@ -217,12 +216,7 @@ def test_integer_bareiss_matches_leibniz():
     rng = random.Random(37)
 
     def entry():
-        roll = rng.random()
-        if roll < 0.25:
-            return 0
-        if roll < 0.6:
-            return rng.randint(-6, 6)
-        return Fraction(rng.randint(-20, 20), rng.randint(1, 12))
+        return 0 if rng.random() < 0.25 else rng.randint(-20, 20)
 
     for trial in range(60):
         n = rng.randint(1, 6)
@@ -231,14 +225,14 @@ def test_integer_bareiss_matches_leibniz():
             # zero leading pivots: the first columns vanish on the diagonal rows
             for i in range(n - 1):
                 m[i][i] = 0
-            m[0][0], m[n - 1][0] = 0, Fraction(5, 7)
+            m[0][0], m[n - 1][0] = 0, 5
         if trial % 5 == 0 and n > 1:
             m[-1] = [x * 3 for x in m[0]]  # singular
         got = _det_bareiss(m)
-        assert type(got) is Fraction
+        assert type(got) is int
         assert got == _leibniz(m), m
-    assert _det_bareiss([]) == 1 and type(_det_bareiss([])) is Fraction
-    assert type(_det_bareiss([[4]])) is Fraction
+    assert _det_bareiss([]) == 1 and type(_det_bareiss([])) is int
+    assert type(_det_bareiss([[4]])) is int
     assert _det_bareiss([[0, 1], [1, 0]]) == -1
     assert _det_bareiss([[0, 1], [0, 2]]) == 0
 
@@ -261,14 +255,17 @@ def test_product_rule(p, q):
     assert lhs == rhs
 
 
+def _difference(a, b):
+    return Poly.variable("t", a) - Poly.variable("t", b)
+
+
 @settings(max_examples=40)
-@given(poly_strategy(max_exp=3), poly_strategy(max_exp=3))
-def test_exact_division_roundtrip(p, q):
-    if q.is_zero():
-        return
-    prod = p * q
-    assert exact_divide(prod, q) == p
-    assert prod / q == p
+@given(poly_strategy(max_exp=3), st.permutations([1, 2, 3]))
+def test_exact_division_roundtrip(p, vars_):
+    d = _difference(*vars_[:2])
+    prod = p * d
+    assert exact_divide(prod, d) == p
+    assert exact_divide(prod.scale(Fraction(2, 7)), d) == p.scale(Fraction(2, 7))
 
 
 @settings(max_examples=30)
@@ -285,22 +282,34 @@ def test_evaluate_commutes_with_substitute(p):
 
 
 def test_inexact_division_raises():
-    t8 = Poly.variable("t", 8)
+    # the second dividend's coefficients sum to 0, though not within each degree
+    for p in (T1 ** 2 + T2, T1 - T1 ** 2):
+        with pytest.raises(InexactDivisionError):
+            exact_divide(p, T1 - T2)
+    # every divisor but t_a - t_b, a != b
+    t8, one = Poly.variable("t", 8), Poly.one("t")
     for p, q in [
-        # the divisor's lead lies in a field above every dividend key
-        (T1 + Poly.one("t"), T2),
+        (T1 + one, T2),
         (T1 ** 3 + T2, t8),
         (t8 * T1, t8 * T2 + T3),
-        # the quotient would need t1^800, past the dividend's t1^300
         (T2 * T1 ** 300, T2 + T1 ** 500),
-        (T1 * T2 + Poly.one("t"), T1 + T2),
-        # a Vandermonde factor, as the bialternant divides by; the second
-        # dividend's coefficients sum to 0, though not within each degree
-        (T1 ** 2 + T2, T1 - T2),
-        (T1 - T1 ** 2, T1 - T2),
+        (T1 * T2 + one, T1 + T2),
+        (T1 * T2, T1 ** 2 - T2),
+        (T1 * T2, T1.scale(2) - T2.scale(2)),
+        (T1 * T2, T1 - T2 + one),
+        (T1 * T2, T1 - one),
+        (T1 * T2, one - T2),
+        (T1 * T2, Poly.constant("t", 3)),
+        (Poly.zero("t"), T1 + T2),
     ]:
-        with pytest.raises(InexactDivisionError):
+        with pytest.raises(ValueError, match="divides only by t_a - t_b"):
             exact_divide(p, q)
+    with pytest.raises(ZeroDivisionError):
+        exact_divide(T1, Poly.zero("t"))
+    with pytest.raises(FamilyMismatchError):
+        exact_divide(T1, Poly.variable("T", 1) - Poly.variable("T", 2))
+    quotient = exact_divide(Poly.zero("t"), T1 - T2)
+    assert quotient.is_zero() and quotient.family == "t"
 
 
 # -- large products and divisions against a tuple-monomial oracle ---------------
@@ -438,92 +447,88 @@ def test_exact_division_roundtrip_in_eight_variables():
     rng = random.Random(5)
     for _ in range(10):
         a = _random_poly(rng, rng.randint(1, 40), 8, 4, -9, 9)
-        b = _random_poly(rng, rng.randint(1, 40), 8, 4, -9, 9)
-        if b.is_zero():
-            continue
+        b = _difference(*rng.sample(range(1, 9), 2))
         prod = a * b
         assert dict(prod.terms) == _oracle_product(a, b)
         assert exact_divide(prod, b) == a
-        assert exact_divide(prod.scale(Fraction(2, 7)), b.scale(3)) == a.scale(Fraction(2, 21))
+        assert exact_divide(prod.scale(Fraction(2, 7)), b) == a.scale(Fraction(2, 7))
 
 
 # -- division by t_a - t_b -----------------------------------------------------
 
 
-def _heap_quotient(p, q):
-    return Poly._raw(p.family, _divide_heap(p._terms, q._terms))
+def _record_dtypes(monkeypatch):
+    """The dtypes of the arrays ``np.argsort`` and ``np.cumsum`` see from here
+    on: a division sorts its packed keys and sums its coefficients."""
+    seen = []
+    for name in ("argsort", "cumsum"):
+        def recorded(x, *args, _fn=getattr(np, name), **kwargs):
+            seen.append(np.asarray(x).dtype)
+            return _fn(x, *args, **kwargs)
+        monkeypatch.setattr(np, name, recorded)
+    return seen
 
 
 @settings(max_examples=60)
 @given(st.data())
-def test_difference_division_matches_the_heap_loop(data):
+def test_difference_division_on_both_array_types(data):
     nvars = data.draw(st.integers(2, 8))
     a, b = data.draw(st.lists(st.integers(1, nvars), min_size=2, max_size=2, unique=True))
     q = data.draw(poly_strategy(nvars=nvars, max_exp=5, max_terms=12, coeff=st.integers(-50, 50)))
-    d = Poly.variable("t", a) - Poly.variable("t", b)
+    # the 2**62 scale gives every nonzero dividend object coefficients
+    q = q.scale(data.draw(st.sampled_from([1, Fraction(1, 3), 2**62])))
+    d = _difference(a, b)
     p = q * d
-    assert p.is_zero() or _difference_layout(p._terms, d._terms) is not None
-    assert exact_divide(p, d) == q == _heap_quotient(p, d)
+    assert exact_divide(p, d) == q
     # a monomial m more, or m - m * t_a (two groups, one of them cancelling
-    # the other's sum), leaves a remainder, which both paths find
+    # the other's sum), leaves a remainder
     m = Poly("t", {MultiIndex(data.draw(st.lists(
         st.tuples(st.integers(1, nvars), st.integers(0, 6)), max_size=nvars))): 1})
     for extra in (p + m, p + m - m * Poly.variable("t", a)):
-        assert _difference_layout(extra._terms, d._terms) is not None
-        for divide in (exact_divide, _heap_quotient):
-            with pytest.raises(InexactDivisionError):
-                divide(extra, d)
+        with pytest.raises(InexactDivisionError):
+            exact_divide(extra, d)
 
 
 def test_difference_division_is_taken(monkeypatch):
-    def refuse(*args):
-        raise AssertionError("the heap loop ran")
-
-    monkeypatch.setattr(polynomials, "_divide_heap", refuse)
+    seen = _record_dtypes(monkeypatch)
     rng = random.Random(11)
     for nvars, a, b in [(2, 1, 2), (2, 2, 1), (6, 5, 3), (8, 2, 8), (8, 8, 7)]:
         q = _random_poly(rng, 60, nvars, 6, -99, 99)
-        d = Poly.variable("t", a) - Poly.variable("t", b)
+        d = _difference(a, b)
         assert exact_divide(q * d, d) == q
     with pytest.raises(InexactDivisionError):
         exact_divide(T1 ** 2 + T2, T1 - T2)
     # every factor of the Vandermonde of a curve
-    for r, s in [(2, 9), (3, 5)]:
+    for r, s in [(2, 9), (3, 5), (3, 7), (3, 8)]:
         sig = CurveSignature(r, s)
         lam, g = young_diagram(sig), sig.genus
         ones = [1] * g
         assert schur_bialternant(lam, g).evaluate(dict(enumerate(ones, 1))) == \
             jacobi_trudi_value(lam, g, ones)
+    assert seen and object not in seen
 
 
-def test_difference_division_falls_back_to_the_heap_loop(monkeypatch):
+def test_difference_division_with_object_arrays(monkeypatch):
     rng = random.Random(13)
     q = _random_poly(rng, 30, 3, 4, -9, 9)
     diff = T1 - T2
-    cases = [  # (quotient, divisor)
-        (q.scale(Fraction(1, 3)), diff),  # a Fraction coefficient
-        ((T1 + T2).scale(2**61), diff),  # a dividend whose |coefficients| sum to 2**62
-        (Poly.variable("t", 8, 300) * T1 - T2, diff),  # 8 fields of 10 bits: past 63
-        (q, Poly.variable("t", 1, 2) - T2),
-        (q, T1.scale(2) - T2.scale(2)),
-        (q, T1 - T2 + Poly.one("t")),
-        (q, T1 - Poly.one("t")),
-        (q, Poly.one("t") - T2),
-    ]
-    below = (T1 + T2).scale(2**61 - 1)
-    assert _difference_layout((below * diff)._terms, diff._terms) is not None
-    assert exact_divide(below * diff, diff) == below
-
-    def refuse(*args):
-        raise AssertionError("the difference path ran")
-
-    monkeypatch.setattr(polynomials, "_divide_difference", refuse)
-    for quotient, d in cases:
-        p = quotient * d
-        assert _difference_layout(p._terms, d._terms) is None
-        assert exact_divide(p, d) == quotient
+    seen = _record_dtypes(monkeypatch)
+    below = (T1 + T2).scale(2**61 - 1) * diff  # |coefficients| sum to 2**62 - 2
+    assert exact_divide(below, diff) == (T1 + T2).scale(2**61 - 1)
+    with pytest.raises(InexactDivisionError):
+        exact_divide(below + Poly.variable("t", 3, 9), diff)  # ... to 2**62 - 1
+    assert seen and object not in seen
+    for quotient in [
+        q.scale(Fraction(1, 3)),  # a Fraction coefficient
+        (T1 + T2).scale(2**61),  # a dividend whose |coefficients| sum to 2**62
+        Poly.variable("t", 8, 300) * T1 - T2,  # 8 fields of 10 bits: keys past 63
+    ]:
+        p = quotient * diff
+        seen.clear()
+        assert exact_divide(p, diff) == quotient
+        assert object in seen
         with pytest.raises(InexactDivisionError):
-            exact_divide(p + Poly.variable("t", 3, 9), d)
+            exact_divide(p + Poly.variable("t", 3, 9), diff)
 
 
 # -- the sum-of-products kernel ------------------------------------------------
