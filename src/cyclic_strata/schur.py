@@ -415,7 +415,7 @@ def schur_in_T(
     if parts and sig.genus > max_expand_genus:
         raise ExpansionLimitError(
             f"genus {sig.genus} exceeds the expansion gate {max_expand_genus}; "
-            "raise max_expand_genus"
+            "raise max_expand_genus (--max-expand-genus on the command line)"
         )
     return _schur_in_T_cached(parts, sig)
 

@@ -15,4 +15,5 @@ def coprime_signatures(max_s: int):
 
 
 def read_golden(name: str) -> str:
-    return (GOLDEN / name).read_text(encoding="utf-8")
+    # Bytes as written: the CSV goldens end their lines in \r\n.
+    return (GOLDEN / name).read_bytes().decode("utf-8")

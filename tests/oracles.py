@@ -12,6 +12,11 @@ The generic minors build every full-window left minor of the Jacobi-Trudi
 matrix, and every split route's Laplace sum, as one ``_sum_of_products``
 over all monomials.  The production routes compute the same symmetric sums
 only at their dominant monomials and expand them by permutation.
+
+The per-level profile builds one level of the stratum table from scratch
+with the public per-level functions: the tail diagram's characteristics, the
+counts over the pole orders and a hook-to-row dictionary.  The production
+table builds every level in one pass from the full diagram's conjugate.
 """
 
 from fractions import Fraction
@@ -21,7 +26,16 @@ from itertools import combinations
 from cyclic_strata.polynomials import SparsePolynomial, _sum_of_products, det
 from cyclic_strata.schur import SymmetricWindow, h_complete, h_from_T, schur_bialternant
 from cyclic_strata.semigroup import CurveSignature, YoungDiagram, u_weights, young_diagram
-from cyclic_strata.strata import natural_k
+from cyclic_strata.strata import (
+    N_k_sum,
+    N_k_tail,
+    StratumProfile,
+    characteristics,
+    fay_sets,
+    n_k,
+    natural_k,
+    truncate_lower,
+)
 
 
 def power_sum_polynomial(m: int, lo: int, hi: int) -> SparsePolynomial:
@@ -97,3 +111,19 @@ def generic_split_sum(parts: tuple[int, ...], g: int, k: int) -> SparsePolynomia
         sign = -1 if (sum(subset) + k * (k + 1) // 2) % 2 else 1
         pieces.append((sign, minors[subset], right))
     return _sum_of_products("t", pieces)
+
+
+def per_level_profile(sig: CurveSignature, k: int) -> StratumProfile:
+    """The level-k profile, computed level by level with every cross-check."""
+    chars = characteristics(truncate_lower(young_diagram(sig), k))
+    count, total = n_k(sig, k), N_k_tail(sig, k)
+    assert chars.rank == count and N_k_sum(sig, k) == total == sum(chars.hooks()), (sig, k)
+    position = {value: idx for idx, value in enumerate(u_weights(sig), start=1)}
+    assert len(position) == sig.genus, sig
+    natural = tuple(sorted((position[h] for h in chars.hooks()), reverse=True))
+    if 1 <= k < sig.genus:
+        assert natural[-1] == k + 1, (sig, k)
+    m_plus, m_minus = fay_sets(sig, k) if k < sig.genus else ((), ())
+    assert len(m_plus) == len(m_minus) == count, (sig, k)
+    assert count + sum(m_plus) + sum(m_minus) == total, (sig, k)
+    return StratumProfile(k, count, total, chars, natural, m_plus, m_minus)

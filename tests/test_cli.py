@@ -43,6 +43,17 @@ def test_natural_golden(capsys):
     assert out == read_golden("natural_trigonal_pentagonal.md")
 
 
+@pytest.mark.parametrize("argv, golden", [
+    (("strata", "7", "9", "--format", "json"), "strata_7_9.json"),
+    (("strata", "5", "7", "--format", "csv"), "strata_5_7.csv"),
+    (("natural", "2,9", "3,7", "5,7", "--format", "json"), "natural_2_9_3_7_5_7.json"),
+])
+def test_json_and_csv_golden(capsys, argv, golden):
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert out == read_golden(golden)
+
+
 def test_gaps_table_and_json(capsys):
     code, out, _ = run_cli(capsys, "gaps", "2", "5")
     assert code == 0
@@ -130,7 +141,12 @@ def test_schur_command(capsys):
 def test_schur_gate_exit_code(capsys):
     code, _, err = run_cli(capsys, "schur", "5", "7")
     assert code == 2
-    assert "expansion gate" in err
+    assert "expansion gate" in err and "--max-expand-genus" in err
+    # The flag the message names lifts the gate.
+    code, _, err = run_cli(capsys, "schur", "2", "15")
+    assert code == 2 and err.endswith("(--max-expand-genus on the command line)\n")
+    code, out, _ = run_cli(capsys, "schur", "2", "15", "--max-expand-genus", "7")
+    assert code == 0 and out.startswith("1/")
 
 
 def test_invalid_signature_exit_code(capsys):

@@ -1,11 +1,15 @@
 import json
+import math
 
 import pytest
 
 from conftest import coprime_signatures
-from cyclic_strata.semigroup import CurveSignature, YoungDiagram, young_diagram, u_weights
+from oracles import per_level_profile
+from cyclic_strata import strata
+from cyclic_strata.semigroup import CurveSignature, YoungDiagram, pole_orders, young_diagram, u_weights
 from cyclic_strata.strata import (
     FrobeniusCharacteristics,
+    InternalConsistencyError,
     characteristics,
     fay_sets,
     hyperelliptic_natural,
@@ -284,3 +288,58 @@ def test_profile_json_roundtrip():
         "natural": [9, 7, 3], "m_plus": list(profile.m_plus),
         "m_minus": list(profile.m_minus),
     }
+
+
+@pytest.mark.parametrize("s", [*range(3, 41), 201])
+def test_table_matches_the_per_level_oracle(s):
+    for r in [2] if s == 201 else [r for r in range(2, s) if math.gcd(r, s) == 1]:
+        sig = CurveSignature(r, s)
+        for k in range(sig.genus + 1):
+            expected = per_level_profile(sig, k)
+            assert stratum_profile(sig, k) == expected, (r, s, k)
+            assert natural_k(sig, k) == expected.natural, (r, s, k)
+
+
+@pytest.mark.parametrize("r, s, name, value, message", [
+    (3, 4, "pole_orders", pole_orders(CurveSignature(2, 7)),
+     r"rank 1 of the tail disagrees with n_k = 2 \(k=0\)"),
+    (2, 9, "pole_orders", pole_orders(CurveSignature(3, 5)), "N_k computations disagree at k=0"),
+    (3, 4, "u_weights", u_weights(CurveSignature(2, 7)),
+     r"no row of the \(3,4\) diagram has hook length 2 \(k=1\)"),
+    (3, 4, "u_weights", (2, 5, 1), r"natural index set for k=1 does not end at k\+1: \(1,\)"),
+    (2, 5, "pole_orders", (0, 2, 3), "Fay set sizes disagree with n_k at k=2"),
+    (3, 7, "pole_orders", (1, 2, 7, 8, 9, 10, 11), "Fay sets do not recompose N_k at k=1"),
+    (3, 4, "u_weights", (5, 2, 2), "first-column hook lengths are not distinct"),
+])
+def test_table_checks_fire_on_inconsistent_data(monkeypatch, r, s, name, value, message):
+    # Each injection keeps every earlier check consistent, so the named one fires.
+    sig = CurveSignature(r, s)
+    strata._stratum_table.cache_clear()
+    monkeypatch.setattr(strata, name, lambda _sig: value)
+    for read in (stratum_profile, natural_k):
+        with pytest.raises(InternalConsistencyError, match=message):
+            read(sig, 0)
+    monkeypatch.undo()
+    assert stratum_profile(sig, 0) == per_level_profile(sig, 0)
+
+
+def test_k_is_checked_before_the_table_is_read(monkeypatch):
+    def unreachable(sig):
+        raise AssertionError("the table was read for a level outside [0, g]")
+
+    monkeypatch.setattr(strata, "_stratum_table", unreachable)
+    for read in (stratum_profile, natural_k):
+        for k in (-1, SIG57.genus + 1):
+            with pytest.raises(ValueError, match=r"k must lie in \[0, 12\]"):
+                read(SIG57, k)
+
+
+def test_table_cache_is_bounded():
+    table = strata._stratum_table
+    maxsize = table.cache_info().maxsize
+    assert maxsize == 64
+    signatures = [CurveSignature(r, s) for r, s in coprime_signatures(30)[:100]]
+    assert len(set(signatures)) == 100
+    for sig in signatures:
+        natural_k(sig, sig.genus)
+    assert table.cache_info().currsize <= maxsize
