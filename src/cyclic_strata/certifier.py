@@ -41,7 +41,9 @@ L^(k), with that survivor's coefficient as the constant.  These are exact
 identities at every genus: S is neither expanded nor sampled.
 
 Removing a rim hook never adds boxes below row k, so a term with more of them
-than the derivative weight still to come is dropped at once.  Sweeps walk the
+than the derivative weight still to come is dropped at once.  Every term has
+the diagram's size less the hooks removed, and row i holds b - (g - i) boxes
+on its bead b, so the top k beads give the count.  Sweeps walk the
 nondecreasing index multisets depth first, hand each prefix state to its
 extensions, and count the extensions of a state pruned to nothing with a
 binomial coefficient instead of visiting them.
@@ -195,22 +197,19 @@ def trial_points(k: int, trial: int, seed: int = 0) -> tuple[Fraction, ...]:
 # -- rim-hook engine -----------------------------------------------------------
 
 
-@lru_cache(maxsize=1 << 16)
-def _rows_below(mask: int, g: int, k: int) -> int:
-    """Boxes of the partition below row k: the sum of its g - k smallest
-    beads less the offsets 0..g-k-1 they would have in the empty partition."""
-    count = g - k
-    total = 0
-    for _ in range(count):
-        low = mask & -mask
-        total += low.bit_length() - 1
-        mask ^= low
-    return total - count * (count - 1) // 2 if count > 0 else 0
-
-
-def _prune(state: dict[int, int], g: int, k: int, budget: int) -> dict[int, int]:
-    """Drop the terms that removing ``budget`` more boxes cannot bring to l <= k."""
-    return {mask: c for mask, c in state.items() if _rows_below(mask, g, k) <= budget}
+def _prune(state: dict[int, int], g: int, k: int, size: int, budget: int) -> dict[int, int]:
+    """Keep the terms of ``size`` boxes with at most ``budget`` below row k."""
+    floor = size - budget + k * g - k * (k + 1) // 2
+    kept = {}
+    for mask, c in state.items():
+        rest, top = mask, 0
+        for _ in range(k):
+            bead = rest.bit_length() - 1
+            top += bead
+            rest ^= 1 << bead
+        if top >= floor:
+            kept[mask] = c
+    return kept
 
 
 @lru_cache(maxsize=4096)
@@ -224,11 +223,13 @@ def _survivors(sig: CurveSignature, k: int, index: tuple[int, ...]) -> dict:
     g = sig.genus
     hooks = u_weights(sig)
     weights = [hooks[i - 1] for i in index]
+    size = sig.diagram_weight()
     remaining = sum(weights)
-    state = _prune({_beads(sig): 1}, g, k, remaining)
+    state = _prune({_beads(sig): 1}, g, k, size, remaining)
     for m in weights:
+        size -= m
         remaining -= m
-        state = _prune(_remove_rim_hooks(state, m), g, k, remaining)
+        state = _prune(_remove_rim_hooks(state, m), g, k, size, remaining)
     return {_partition(mask): c for mask, c in state.items()}
 
 
@@ -272,23 +273,23 @@ def _vanishing_walk(sig: CurveSignature, k: int, first: int, bound: int, trials,
     hooks = u_weights(sig)
     checked = 0
 
-    def visit(state, index, last):
+    def visit(state, size, index, last):
         nonlocal checked
         ahead = bound - 1 - len(index)
-        state = _prune(state, g, k, ahead * hooks[last - 1])
+        state = _prune(state, g, k, size, ahead * hooks[last - 1])
         if not state:
             checked += math.comb(g - last + 1 + ahead, ahead)
             return
-        survivors = {_partition(mask): c for mask, c in state.items()
-                     if not _rows_below(mask, g, k)}
+        survivors = {_partition(mask): c for mask, c in _prune(state, g, k, size, 0).items()}
         if survivors:
             raise _vanishing_failure(sig, k, index, survivors, trials, seed)
         checked += 1
         for j in range(last, g + 1):
-            visit(_remove_rim_hooks(state, hooks[j - 1]), index + (j,), j)
+            m = hooks[j - 1]
+            visit(_remove_rim_hooks(state, m), size - m, index + (j,), j)
 
     if bound > 0:
-        visit({_beads(sig): 1}, (), first)
+        visit({_beads(sig): 1}, sig.diagram_weight(), (), first)
     return checked
 
 

@@ -261,7 +261,10 @@ def cmd_mu(args) -> int:
     curve_spec = _load_json(args.curve)
     points_spec = _load_json(args.points)
     try:
-        sig = _parse_signature(int(curve_spec["r"]), int(curve_spec["s"]))
+        r, s = curve_spec["r"], curve_spec["s"]
+        if (type(r), type(s)) != (int, int):  # bool is an int subclass
+            raise ValueError(f"r and s must be JSON integers, got {r!r}, {s!r}")
+        sig = _parse_signature(r, s)
         lambdas = tuple(complex(re, im) for re, im in curve_spec["lambdas"])
         curve = CurveInstance(sig, lambdas)
         raw_points = [

@@ -373,31 +373,6 @@ def _character_form(state: dict[int, int], hooks) -> SparsePolynomial:
 # -- power-sum form of the curve Schur polynomial -----------------------------
 
 
-@lru_cache(maxsize=128)
-def _schur_in_T_cached(parts: tuple[int, ...], sig: CurveSignature) -> SchurForm:
-    lam = young_diagram(sig)
-    diagram = YoungDiagram(parts)
-    hooks = u_weights(sig)
-
-    if not parts:
-        return SchurForm(diagram, SparsePolynomial.one("T"), SparsePolynomial.one("u"))
-    state = {_beads(sig): 1}
-    sign = 1
-    if parts != lam.parts:
-        k = len(parts)
-        for i in natural_k(sig, k):
-            state = _remove_rim_hooks(state, hooks[i - 1])
-        sign = next((c for mask, c in state.items() if _partition(mask) == parts), 0)
-        if sign not in (1, -1):
-            raise InternalConsistencyError(
-                f"natural derivative for head truncation k={k} of ({sig.r},{sig.s}) "
-                f"carries the head diagram with coefficient {sign}, not +/-1"
-            )
-    as_u = _character_form(state, hooks).scale(sign)
-    as_T = as_u.rename_variables(dict(enumerate(hooks, start=1)), "T")
-    return SchurForm(diagram, as_T, as_u)
-
-
 def schur_in_T(
     diagram: YoungDiagram, sig: CurveSignature, max_expand_genus: int = EXPANSION_GATE
 ) -> SchurForm:
@@ -417,7 +392,23 @@ def schur_in_T(
             f"genus {sig.genus} exceeds the expansion gate {max_expand_genus}; "
             "raise max_expand_genus (--max-expand-genus on the command line)"
         )
-    return _schur_in_T_cached(parts, sig)
+    if not parts:
+        return SchurForm(diagram, SparsePolynomial.one("T"), SparsePolynomial.one("u"))
+    hooks = u_weights(sig)
+    state = {_beads(sig): 1}
+    sign = 1
+    if parts != lam.parts:
+        for i in natural_k(sig, k):
+            state = _remove_rim_hooks(state, hooks[i - 1])
+        sign = next((c for mask, c in state.items() if _partition(mask) == parts), 0)
+        if sign not in (1, -1):
+            raise InternalConsistencyError(
+                f"natural derivative for head truncation k={k} of ({sig.r},{sig.s}) "
+                f"carries the head diagram with coefficient {sign}, not +/-1"
+            )
+    as_u = _character_form(state, hooks).scale(sign)
+    as_T = as_u.rename_variables(dict(enumerate(hooks, start=1)), "T")
+    return SchurForm(diagram, as_T, as_u)
 
 
 def transition_matrix(sig: CurveSignature, k: int) -> list[list[SparsePolynomial]]:

@@ -1,4 +1,5 @@
 import json
+import random
 from fractions import Fraction
 from itertools import combinations_with_replacement
 from math import prod
@@ -13,6 +14,7 @@ from cyclic_strata.certifier import (
     _beads,
     _constant_multiple_certificate,
     _partition,
+    _prune,
     _remove_rim_hooks,
     _schur_sum_value,
     _survivors,
@@ -190,6 +192,27 @@ def test_long_chains_match_unpruned():
                 stepwise = {_partition(m): c for m, c in state.items() if len(_partition(m)) <= k}
                 assert _survivors(sig, k, (g,) * order) == stepwise, (rs, k, order)
             state = _remove_rim_hooks(state, 1)
+
+
+def test_prune_reads_rows_below_off_the_size():
+    # States reached by random rim-hook removals: for every level and for
+    # budgets on both sides of each term's count, _prune keeps exactly the
+    # terms with at most ``budget`` boxes below row k.
+    rng = random.Random(15)
+    for rs in [(2, 9), (3, 7), (4, 5), (3, 10), (5, 7)]:
+        sig = CurveSignature(*rs)
+        g = sig.genus
+        sizes = u_weights(sig) + (1, 2, 3)
+        for _ in range(3):
+            state, size = {_beads(sig): 1}, sig.diagram_weight()
+            while state:
+                for k in range(1, g):
+                    below = {mask: sum(_partition(mask)[k:]) for mask in state}
+                    for budget in {b + d for b in below.values() for d in (-1, 0)}:
+                        expected = {m: c for m, c in state.items() if below[m] <= budget}
+                        assert _prune(state, g, k, size, budget) == expected, (rs, k, budget)
+                m = rng.choice(sizes)
+                state, size = _remove_rim_hooks(state, m), size - m
 
 
 def test_mixed_partials_commute():

@@ -47,6 +47,10 @@ def test_natural_golden(capsys):
     (("strata", "7", "9", "--format", "json"), "strata_7_9.json"),
     (("strata", "5", "7", "--format", "csv"), "strata_5_7.csv"),
     (("natural", "2,9", "3,7", "5,7", "--format", "json"), "natural_2_9_3_7_5_7.json"),
+    (("certify", "3", "7", "--format", "json"), "certify_3_7.json"),
+    (("certify", "4", "5"), "certify_4_5.md"),
+    (("schur", "3", "5", "--format", "json"), "schur_3_5.json"),
+    (("schur", "3", "7", "--k", "3"), "schur_3_7_k3.md"),
 ])
 def test_json_and_csv_golden(capsys, argv, golden):
     code, out, _ = run_cli(capsys, *argv)
@@ -286,10 +290,18 @@ def test_mu_off_curve_exit_code(capsys, tmp_path):
 
 def test_mu_malformed_input_exit_code(capsys, tmp_path):
     curve_path, points_path = write_curve_files(tmp_path)
+    spec = json.loads(curve_path.read_text())
     curve_path.write_text("{not json")
     code, _, err = run_cli(capsys, "mu", "--curve", str(curve_path),
                            "--points", str(points_path))
     assert code == 2
+    # Exponents must be JSON integers: no float, bool, string or null.
+    for r, s in [(2.7, 5), (2, 5.0), (True, 5), ("2", 5), (2, None)]:
+        curve_path.write_text(json.dumps({**spec, "r": r, "s": s}))
+        code, out, err = run_cli(capsys, "mu", "--curve", str(curve_path),
+                                 "--points", str(points_path))
+        assert (code, out) == (2, ""), (r, s)
+        assert err.startswith("error: malformed curve/points file: r and s must be JSON integers")
 
 
 @pytest.mark.parametrize("points", [

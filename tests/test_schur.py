@@ -21,7 +21,6 @@ from cyclic_strata.schur import (
     SymmetricWindow,
     _partition,
     _remove_rim_hooks,
-    _schur_in_T_cached,
     bialternant_value,
     h_complete,
     h_from_T,
@@ -338,7 +337,6 @@ def test_schur_in_T_derives_t_form_on_read(monkeypatch):
     # schur_in_T builds no bialternant; reading as_t does.
     sig = CurveSignature(3, 7)
     heads = [truncate_upper(young_diagram(sig), k) for k in range(sig.genus + 1)]
-    _schur_in_T_cached.cache_clear()
 
     def refuse(*args):
         raise AssertionError("schur_in_T built the t-form")
@@ -382,15 +380,6 @@ def test_expansion_gate():
         with pytest.raises(ExpansionLimitError):
             schur_in_T(truncate_upper(lam, k), sig, max_expand_genus=6)
     assert schur_in_T(truncate_upper(lam, 0), sig, max_expand_genus=6).as_u == Poly.one("u")
-
-
-def test_schur_in_T_cached_once_across_gates():
-    sig = CurveSignature(3, 4)
-    lam = young_diagram(sig)
-    for diagram in (lam, truncate_upper(lam, 2)):
-        form = schur_in_T(diagram, sig, max_expand_genus=sig.genus)
-        assert schur_in_T(diagram, sig) is form
-        assert schur_in_T(diagram, sig, max_expand_genus=40) is form
 
 
 def test_transition_matrix():

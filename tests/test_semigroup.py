@@ -1,5 +1,9 @@
+import importlib
+import pkgutil
+
 import pytest
 
+import cyclic_strata
 from conftest import coprime_signatures
 from cyclic_strata.semigroup import (
     CurveSignature,
@@ -148,14 +152,23 @@ def test_gap_count_is_genus():
 
 
 def test_curve_data_is_cached_by_signature_value():
-    # Fresh signature instances share one cache entry, and no cache is unbounded.
+    # Fresh signature instances share one cache entry, and no lru_cache of
+    # any module of the package is unbounded.
     assert young_diagram(CurveSignature(5, 7)) is young_diagram(CurveSignature(5, 7))
     assert u_weights(CurveSignature(5, 7)) is u_weights(CurveSignature(5, 7))
     assert pole_orders(CurveSignature(5, 7)) is pole_orders(CurveSignature(5, 7))
     assert pole_orders(SIG57) == NONGAPS_57
-    for cached in (pole_orders, young_diagram, u_weights):
+    caches = {
+        (module.__name__, name): value
+        for info in pkgutil.iter_modules(cyclic_strata.__path__)
+        for module in [importlib.import_module(f"cyclic_strata.{info.name}")]
+        for name, value in vars(module).items()
+        if callable(getattr(value, "cache_info", None)) and value.__module__ == module.__name__
+    }
+    assert {pole_orders, young_diagram, u_weights} <= set(caches.values())
+    for key, cached in caches.items():
         maxsize = cached.cache_info().maxsize
-        assert maxsize is not None and maxsize > 0
+        assert maxsize is not None and maxsize > 0, key
 
 
 def test_young_diagram_validation():
