@@ -40,13 +40,30 @@ multiple of the head Schur polynomial iff its only survivor is the head
 L^(k), with that survivor's coefficient as the constant.  These are exact
 identities at every genus: S is neither expanded nor sampled.
 
-Removing a rim hook never adds boxes below row k, so a term with more of them
-than the derivative weight still to come is dropped at once.  Every term has
-the diagram's size less the hooks removed, and row i holds b - (g - i) boxes
-on its bead b, so the top k beads give the count.  Sweeps walk the
-nondecreasing index multisets depth first, hand each prefix state to its
-extensions, and count the extensions of a state pruned to nothing with a
-binomial coefficient instead of visiting them.
+Two bounds prune a state.  Removing a rim hook never adds boxes below row
+k, so a term with more of them than the derivative weight still to come is
+dropped at once.  Every term has the diagram's size less the hooks removed,
+and row i holds b - (g - i) boxes on its bead b, so the top k beads give the
+count.  A survivor l(nu) <= k has beads on all of positions 0..g-k-1, and a
+removal moves one bead onto one free position, so it fills at most one of
+them: a term with more empty positions there than derivatives still to come
+is dropped too.  Sweeps walk the nondecreasing index multisets depth first,
+hand each prefix state to its extensions, and count the extensions of a state
+pruned to nothing with a binomial coefficient instead of visiting them.
+
+Every sorted index multiset ends in its run of N derivatives along u_g,
+whose hook is 1, and that run is closed in one step:
+``(p_1^perp)^N s_mu = sum f^(mu/nu) s_nu`` over the nu inside mu with
+``|mu/nu| = N``, where f counts the standard tableaux of the skew shape
+(p_1^perp removes each corner box with coefficient 1, and a chain of N such
+removals read backwards is a standard tableau of mu/nu).  Only nu inside
+``mu[:k]`` survive.  A pruned term has at most N boxes below row k; with
+exactly N its one survivor is ``mu[:k]``, and ``mu/mu[:k]`` is the straight
+shape of its lower rows, counted by the hook-length formula (Frame, Robinson
+and Thrall, 1954).  Any other term also loses boxes from its top k rows, and
+f of each candidate nu is Aitken's determinant
+``N! det[1/(mu_i - nu_j - i + j)!]`` (Stanley, *EC2* Cor. 7.16.3), taken in
+integers by scaling its rows.
 
 Certificates keep the vocabulary of the earlier evaluation pipelines: mode
 ``"expanded"`` at genus <= ``schur.EXPANSION_GATE`` and ``"sampled"`` above
@@ -66,6 +83,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
 
+from .polynomials import _det_bareiss
 from .schur import EXPANSION_GATE, _beads, _partition, _remove_rim_hooks, jacobi_trudi_value
 from .semigroup import CurveSignature, YoungDiagram, u_weights, young_diagram
 from .strata import (
@@ -197,11 +215,17 @@ def trial_points(k: int, trial: int, seed: int = 0) -> tuple[Fraction, ...]:
 # -- rim-hook engine -----------------------------------------------------------
 
 
-def _prune(state: dict[int, int], g: int, k: int, size: int, budget: int) -> dict[int, int]:
-    """Keep the terms of ``size`` boxes with at most ``budget`` below row k."""
+def _prune(
+    state: dict[int, int], g: int, k: int, size: int, budget: int, moves: int
+) -> dict[int, int]:
+    """Keep the terms of ``size`` boxes with at most ``budget`` below row k
+    and at most ``moves`` empty bead positions in 0..g-k-1."""
     floor = size - budget + k * g - k * (k + 1) // 2
+    low, beads = (1 << (g - k)) - 1, g - k - moves
     kept = {}
     for mask, c in state.items():
+        if (mask & low).bit_count() < beads:
+            continue
         rest, top = mask, 0
         for _ in range(k):
             bead = rest.bit_length() - 1
@@ -213,24 +237,93 @@ def _prune(state: dict[int, int], g: int, k: int, size: int, budget: int) -> dic
 
 
 @lru_cache(maxsize=4096)
+def _tableaux(shape: tuple[int, ...]) -> int:
+    """f^shape, the standard tableaux of a straight shape (hook-length formula)."""
+    cols = [sum(1 for p in shape if p > j) for j in range(shape[0] if shape else 0)]
+    hooks = math.prod(p - j + cols[j] - i - 1 for i, p in enumerate(shape) for j in range(p))
+    return math.factorial(sum(shape)) // hooks
+
+
+def _skew_tableaux(mu: tuple[int, ...], nu: tuple[int, ...], n: int) -> int:
+    """f^(mu/nu) for nu inside mu, |mu/nu| = n, by Aitken's determinant
+    ``n! det[1/(mu_i - nu_j - i + j)!]`` with row i scaled by
+    ``(mu_i - i + rows - 1)!`` to integers (Stanley, *EC2* Cor. 7.16.3)."""
+    rows = len(mu)
+    nu = nu + (0,) * (rows - len(nu))
+    tops = [p - i + rows - 1 for i, p in enumerate(mu)]
+    matrix = [
+        [math.perm(top, top - a) if (a := p - i - nu[j] + j) >= 0 else 0 for j in range(rows)]
+        for i, (p, top) in enumerate(zip(mu, tops))
+    ]
+    scale = math.prod(math.factorial(top) for top in tops)
+    return math.factorial(n) * _det_bareiss(matrix) // scale
+
+
+def _sub_partitions(bound: tuple[int, ...], size: int):
+    """The partitions of ``size`` with nu_i <= bound_i (bound nonincreasing),
+    zeros dropped."""
+    if not size:
+        yield ()
+        return
+    for top in range(min(bound[0], size) if bound else 0, 0, -1):
+        rest = tuple(min(b, top) for b in bound[1:])
+        if top + sum(rest) < size:
+            break
+        for tail in _sub_partitions(rest, size - top):
+            yield (top,) + tail
+
+
+def _remove_boxes(state: dict[int, int], k: int, n: int) -> dict:
+    """{nu: c} with l(nu) <= k of ``(p_1^perp)^n`` on a state whose terms have
+    at most n boxes below row k: ``sum f^(mu/nu) s_nu`` over nu inside mu[:k].
+
+    A term with exactly n boxes below row k has the one survivor mu[:k], with
+    f of its rows below k; the others also lose boxes from the top k rows.
+    """
+    out: dict = {}
+    for mask, c in state.items():
+        mu = _partition(mask)
+        head, tail = mu[:k], mu[k:]
+        short = n - sum(tail)
+        if not short:
+            pairs = [(head, _tableaux(tail))]
+        else:
+            pairs = [
+                (nu, _skew_tableaux(mu, nu, n))
+                for nu in _sub_partitions(head, sum(head) - short)
+            ]
+        for nu, f in pairs:
+            total = out.get(nu, 0) + c * f
+            if total:
+                out[nu] = total
+            else:
+                del out[nu]
+    return out
+
+
+@lru_cache(maxsize=4096)
 def _survivors(sig: CurveSignature, k: int, index: tuple[int, ...]) -> dict:
     """{nu: c} with l(nu) <= k of the sorted index multiset's derivative of S.
 
     The largest hooks go first, and after each step only the terms that the
-    remaining weight can still bring to length <= k are kept.  Callers must
-    not mutate the (cached) result.
+    remaining derivatives can still bring to length <= k are kept; the
+    closing run of u_g derivatives (hook 1) is then taken in one step.
+    Callers must not mutate the (cached) result.
     """
     g = sig.genus
     hooks = u_weights(sig)
-    weights = [hooks[i - 1] for i in index]
+    run = index.count(g)
+    weights = [hooks[i - 1] for i in index[:len(index) - run]]
     size = sig.diagram_weight()
-    remaining = sum(weights)
-    state = _prune({_beads(sig): 1}, g, k, size, remaining)
+    remaining = sum(weights) + run
+    moves = len(index)
+    state = _prune({_beads(sig): 1}, g, k, size, remaining, moves)
     for m in weights:
         size -= m
         remaining -= m
-        state = _prune(_remove_rim_hooks(state, m), g, k, size, remaining)
-    return {_partition(mask): c for mask, c in state.items()}
+        moves -= 1
+        state = _prune(_remove_rim_hooks(state, m), g, k, size, remaining, moves)
+    return _remove_boxes(state, k, run)
 
 
 def _schur_sum_value(survivors: dict, k: int, point) -> Fraction:
@@ -276,11 +369,11 @@ def _vanishing_walk(sig: CurveSignature, k: int, first: int, bound: int, trials,
     def visit(state, size, index, last):
         nonlocal checked
         ahead = bound - 1 - len(index)
-        state = _prune(state, g, k, size, ahead * hooks[last - 1])
+        state = _prune(state, g, k, size, ahead * hooks[last - 1], ahead)
         if not state:
             checked += math.comb(g - last + 1 + ahead, ahead)
             return
-        survivors = {_partition(mask): c for mask, c in _prune(state, g, k, size, 0).items()}
+        survivors = {_partition(mask): c for mask, c in _prune(state, g, k, size, 0, 0).items()}
         if survivors:
             raise _vanishing_failure(sig, k, index, survivors, trials, seed)
         checked += 1

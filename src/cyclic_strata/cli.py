@@ -48,6 +48,7 @@ EXIT_CERTIFICATION = 3
 EXIT_TOLERANCE = 4
 GAPS_MAX_COUNT = 100_000  # rows `gaps` prints at most; checked before any is built
 TABLE_MAX_GENUS = 1_000  # genus `strata` and `natural` tabulate at most; checked likewise
+CERTIFY_MAX_GENUS = 36  # genus `certify` takes at most; checked likewise
 
 
 def _md_table(header: list[str], rows: list[list[str]]) -> str:
@@ -200,6 +201,8 @@ def cmd_schur(args) -> int:
 def cmd_certify(args) -> int:
     sig = _parse_signature(args.r, args.s)
     g = sig.genus
+    if g > CERTIFY_MAX_GENUS:
+        raise SystemExit2(f"genus {g} of ({args.r},{args.s}) exceeds the certify cap {CERTIFY_MAX_GENUS}")
     if g < 2:
         raise SystemExit2("certification needs genus >= 2")
     levels = [args.k] if args.k is not None else list(range(1, g))

@@ -13,6 +13,11 @@ matrix, and every split route's Laplace sum, as one ``_sum_of_products``
 over all monomials.  The production routes compute the same symmetric sums
 only at their dominant monomials and expand them by permutation.
 
+The box-by-box survivors remove every derivative's rim hooks in turn, the
+closing run of u_g derivatives one box at a time, and prune each state by the
+boxes below row k read off its partitions.  The production engine removes
+that run in one step and also prunes by empty bead positions.
+
 The per-level profile builds one level of the stratum table from scratch
 with the public per-level functions: the tail diagram's characteristics, the
 counts over the pole orders and a hook-to-row dictionary.  The production
@@ -24,7 +29,15 @@ from functools import lru_cache
 from itertools import combinations
 
 from cyclic_strata.polynomials import SparsePolynomial, _sum_of_products, det
-from cyclic_strata.schur import SymmetricWindow, h_complete, h_from_T, schur_bialternant
+from cyclic_strata.schur import (
+    SymmetricWindow,
+    _beads,
+    _partition,
+    _remove_rim_hooks,
+    h_complete,
+    h_from_T,
+    schur_bialternant,
+)
 from cyclic_strata.semigroup import CurveSignature, YoungDiagram, u_weights, young_diagram
 from cyclic_strata.strata import (
     N_k_sum,
@@ -111,6 +124,23 @@ def generic_split_sum(parts: tuple[int, ...], g: int, k: int) -> SparsePolynomia
         sign = -1 if (sum(subset) + k * (k + 1) // 2) % 2 else 1
         pieces.append((sign, minors[subset], right))
     return _sum_of_products("t", pieces)
+
+
+def box_by_box_survivors(sig: CurveSignature, k: int, index) -> dict:
+    """{nu: c} with l(nu) <= k of the sorted index multiset's derivative of S,
+    one rim hook per derivative, pruned only by the boxes below row k."""
+    hooks = u_weights(sig)
+    weights = [hooks[i - 1] for i in sorted(index)]
+    remaining = sum(weights)
+
+    def prune(state):
+        return {m: c for m, c in state.items() if sum(_partition(m)[k:]) <= remaining}
+
+    state = prune({_beads(sig): 1})
+    for m in weights:
+        remaining -= m
+        state = prune(_remove_rim_hooks(state, m))
+    return {_partition(mask): c for mask, c in state.items()}
 
 
 def per_level_profile(sig: CurveSignature, k: int) -> StratumProfile:

@@ -1,13 +1,14 @@
 import json
 import random
 from fractions import Fraction
-from itertools import combinations_with_replacement
+from functools import lru_cache
+from itertools import combinations, combinations_with_replacement
 from math import prod
 
 import pytest
 
 from conftest import coprime_signatures
-from oracles import determinant_power_sum_form
+from oracles import box_by_box_survivors, determinant_power_sum_form
 from cyclic_strata import certifier
 from cyclic_strata.certifier import (
     CertificationError,
@@ -210,9 +211,124 @@ def test_prune_reads_rows_below_off_the_size():
                     below = {mask: sum(_partition(mask)[k:]) for mask in state}
                     for budget in {b + d for b in below.values() for d in (-1, 0)}:
                         expected = {m: c for m, c in state.items() if below[m] <= budget}
-                        assert _prune(state, g, k, size, budget) == expected, (rs, k, budget)
+                        kept = _prune(state, g, k, size, budget, g - k)
+                        assert kept == expected, (rs, k, budget)
                 m = rng.choice(sizes)
                 state, size = _remove_rim_hooks(state, m), size - m
+
+
+def holes(nu, g, k):
+    """Empty positions in 0..g-k-1 of nu's g-bead abacus, bead i at nu_i + g - i."""
+    beads = {p + g - i for i, p in enumerate(nu + (0,) * (g - len(nu)), start=1)}
+    return sum(1 for x in range(g - k) if x not in beads)
+
+
+def test_prune_drops_terms_with_more_holes_than_moves():
+    # States reached by random rim-hook removals: with the size bound slack,
+    # _prune keeps exactly the terms with at most ``moves`` holes; with both
+    # bounds set it keeps the terms that meet both.
+    rng = random.Random(16)
+    for rs in [(2, 9), (3, 7), (4, 5), (3, 10), (5, 7)]:
+        sig = CurveSignature(*rs)
+        g = sig.genus
+        sizes = u_weights(sig) + (1, 2, 3)
+        for _ in range(3):
+            state, size = {_beads(sig): 1}, sig.diagram_weight()
+            while state:
+                for k in range(1, g):
+                    gaps = {mask: holes(_partition(mask), g, k) for mask in state}
+                    below = {mask: sum(_partition(mask)[k:]) for mask in state}
+                    for moves in {h + d for h in gaps.values() for d in (-1, 0) if h + d >= 0}:
+                        expected = {m: c for m, c in state.items() if gaps[m] <= moves}
+                        assert _prune(state, g, k, size, size, moves) == expected, (rs, k, moves)
+                        budget = rng.choice(list(below.values()))
+                        expected = {m: c for m, c in expected.items() if below[m] <= budget}
+                        assert _prune(state, g, k, size, budget, moves) == expected, (rs, k)
+                m = rng.choice(sizes)
+                state, size = _remove_rim_hooks(state, m), size - m
+
+
+def test_dropped_terms_have_no_short_descendant():
+    # A term dropped with ``moves`` derivatives left has no descendant with
+    # l(nu) <= k after that many rim-hook removals of the curve's hooks,
+    # followed on single bead masks without pruning.
+    rng = random.Random(17)
+    dropped_count = 0
+    for rs in [(3, 5), (2, 9), (3, 7), (4, 5)]:
+        sig = CurveSignature(*rs)
+        g = sig.genus
+        hooks = u_weights(sig)
+        state, size = {_beads(sig): 1}, sig.diagram_weight()
+        for _ in range(3):
+            for k in range(1, g):
+                for moves in range(3):
+                    kept = _prune(state, g, k, size, size, moves)
+                    frontier = set(state) - set(kept)
+                    dropped_count += len(frontier)
+                    for _ in range(moves + 1):
+                        assert all(len(_partition(mask)) > k for mask in frontier), (rs, k)
+                        frontier = {
+                            child for mask in frontier for m in hooks
+                            for child in _remove_rim_hooks({mask: 1}, m)
+                        }
+            m = rng.choice(hooks[1:])
+            state, size = _remove_rim_hooks(state, m), size - m
+    assert dropped_count
+
+
+def g_power_index(sig, k, ell):
+    """The index multiset of the ell-th g-power trade at level k."""
+    hooks = u_weights(sig)
+    nat = natural_k(sig, k)
+    dropped = sum(hooks[i - 1] for i in nat[: ell - 1])
+    return tuple(sorted(nat[ell - 1:] + (sig.genus,) * dropped))
+
+
+def test_survivors_match_box_by_box_oracle():
+    # Every natural subset, variant set and g-power trade of each level, and
+    # random multisets ending in runs of u_g derivatives of length up to 8.
+    rng = random.Random(16)
+    for rs in [(3, 5), (4, 5), (3, 7), (5, 7), (2, 9), (3, 8)]:
+        sig = CurveSignature(*rs)
+        g = sig.genus
+        for k in range(1, g):
+            nat = natural_k(sig, k)
+            indices = {tuple(sorted(sub)) for n in range(len(nat) + 1) for sub in combinations(nat, n)}
+            indices |= {tuple(sorted(natural_k_i(sig, k, i))) for i in range(1, k + 1)}
+            indices |= {g_power_index(sig, k, ell) for ell in range(1, len(nat) + 2)}
+            for _ in range(20):
+                prefix = rng.choices(range(1, g), k=rng.randint(0, 4))
+                indices.add(tuple(sorted(prefix)) + (g,) * rng.randint(0, 8))
+            for index in sorted(indices):
+                assert _survivors(sig, k, index) == box_by_box_survivors(sig, k, index), (rs, k, index)
+
+
+@lru_cache(maxsize=None)
+def corner_tableaux(shape):
+    """Standard tableaux of a straight shape: the last box sits in a corner."""
+    if not shape:
+        return 1
+    total = 0
+    for i, p in enumerate(shape):
+        if i + 1 == len(shape) or shape[i + 1] < p:
+            total += corner_tableaux(tuple(q for q in shape[:i] + (p - 1,) + shape[i + 1:] if q))
+    return total
+
+
+def test_pure_case_is_the_head_times_tail_tableaux():
+    # N_k derivatives along u_g leave only the head, with f of the tail.
+    for rs in coprime_signatures(25):
+        sig = CurveSignature(*rs)
+        g = sig.genus
+        if g > 12:
+            continue
+        hooks = u_weights(sig)
+        parts = young_diagram(sig).parts
+        for k in range(1, g):
+            head, tail = parts[:k], parts[k:]
+            assert sum(tail) == sum(hooks[i - 1] for i in natural_k(sig, k)), (rs, k)
+            expected = {head: corner_tableaux(tail)}
+            assert _survivors(sig, k, (g,) * sum(tail)) == expected, (rs, k)
 
 
 def test_mixed_partials_commute():

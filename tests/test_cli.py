@@ -1,6 +1,7 @@
 import argparse
 import json
 import re
+import time
 from pathlib import Path
 
 import pytest
@@ -51,6 +52,7 @@ def test_natural_golden(capsys):
     (("certify", "4", "5"), "certify_4_5.md"),
     (("schur", "3", "5", "--format", "json"), "schur_3_5.json"),
     (("schur", "3", "7", "--k", "3"), "schur_3_7_k3.md"),
+    (("certify", "3", "17", "--format", "csv"), "certify_3_17.csv"),
 ])
 def test_json_and_csv_golden(capsys, argv, golden):
     code, out, _ = run_cli(capsys, *argv)
@@ -103,6 +105,37 @@ def test_strata_and_natural_cap_the_genus_before_anything_is_built(capsys, monke
     assert (code, out, err) == (2, "", f"error: {message}\n")
     code, out, err = run_cli(capsys, "natural", "2,5", f"2,{2 * cap + 3}", "--format", "json")
     assert (code, out, err) == (2, "", f"error: bad signature '2,{2 * cap + 3}': {message}\n")
+
+
+@pytest.mark.parametrize("r, s", [(7, 9), (5, 13)])
+def test_certify_genus_24_in_full(capsys, r, s):
+    start = time.perf_counter()
+    code, out, _ = run_cli(capsys, "certify", str(r), str(s), "--format", "json")
+    assert time.perf_counter() - start < 5
+    payload = json.loads(out)
+    assert code == 0 and [level["natural"]["k"] for level in payload] == list(range(1, 24))
+    for level in payload:
+        main = level["natural"]["certificates"][-1]
+        assert (abs(main["constant_num"]), main["constant_den"]) == (1, 1)
+
+
+def test_certify_caps_the_genus_before_any_certificate(capsys, monkeypatch):
+    cap = cli.CERTIFY_MAX_GENUS
+    assert cap == 36
+    code, out, _ = run_cli(capsys, "certify", "2", str(2 * cap + 1), "--k", str(cap - 1))
+    assert code == 0 and "certified: all statements hold" in out
+
+    def unreachable(*args, **kwargs):
+        raise AssertionError("a certificate was built before the genus was checked")
+
+    monkeypatch.setattr(cli, "certify_natural", unreachable)
+    monkeypatch.setattr(cli, "sub_vanishing_sweep", unreachable)
+    monkeypatch.setattr(cli, "certify_g_power", unreachable)
+    assert CurveSignature(2, 2 * cap + 3).genus == cap + 1
+    for argv in [(), ("--k", "1"), ("--format", "json")]:
+        code, out, err = run_cli(capsys, "certify", "2", str(2 * cap + 3), *argv)
+        message = f"genus {cap + 1} of (2,{2 * cap + 3}) exceeds the certify cap {cap}"
+        assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
 @pytest.mark.parametrize("token", ["3", "3,a", "3,4,5", ",", "3.0,4"])
