@@ -65,6 +65,12 @@ f of each candidate nu is Aitken's determinant
 ``N! det[1/(mu_i - nu_j - i + j)!]`` (Stanley, *EC2* Cor. 7.16.3), taken in
 integers by scaling its rows.
 
+Every proper subset of natural_k is a multiset of order below n_k, so the
+one pruned walk that proves the sub-vanishing statement proves them all:
+:func:`certify_natural` runs it once and then lists a zero certificate per
+subset.  Only the full set, the variant sets and the g-power trades read
+their own survivors.
+
 Certificates keep the vocabulary of the earlier evaluation pipelines: mode
 ``"expanded"`` at genus <= ``schur.EXPANSION_GATE`` and ``"sampled"`` above
 it (now a conservative label, since every verdict is exact), the trial count,
@@ -84,7 +90,8 @@ from functools import lru_cache
 from itertools import combinations
 
 from .polynomials import _det_bareiss
-from .schur import EXPANSION_GATE, _beads, _partition, _remove_rim_hooks, jacobi_trudi_value
+from .schur import EXPANSION_GATE, _beads, _partition, _remove_rim_hooks, _tableaux
+from .schur import jacobi_trudi_value
 from .semigroup import CurveSignature, YoungDiagram, u_weights, young_diagram
 from .strata import (
     InternalConsistencyError,
@@ -236,14 +243,6 @@ def _prune(
     return kept
 
 
-@lru_cache(maxsize=4096)
-def _tableaux(shape: tuple[int, ...]) -> int:
-    """f^shape, the standard tableaux of a straight shape (hook-length formula)."""
-    cols = [sum(1 for p in shape if p > j) for j in range(shape[0] if shape else 0)]
-    hooks = math.prod(p - j + cols[j] - i - 1 for i, p in enumerate(shape) for j in range(p))
-    return math.factorial(sum(shape)) // hooks
-
-
 def _skew_tableaux(mu: tuple[int, ...], nu: tuple[int, ...], n: int) -> int:
     """f^(mu/nu) for nu inside mu, |mu/nu| = n, by Aitken's determinant
     ``n! det[1/(mu_i - nu_j - i + j)!]`` with row i scaled by
@@ -390,13 +389,6 @@ def _mode(sig: CurveSignature) -> str:
     return "expanded" if sig.genus <= EXPANSION_GATE else "sampled"
 
 
-def _zero_certificate(sig, k, index, trials, seed) -> DerivativeCertificate:
-    survivors = _survivors(sig, k, index)
-    if survivors:
-        raise _vanishing_failure(sig, k, index, survivors, trials, seed)
-    return DerivativeCertificate(k, index, "zero", None, _mode(sig), trials)
-
-
 def _constant_multiple_certificate(
     sig, k, index, trials, expected_abs=None
 ) -> DerivativeCertificate:
@@ -442,7 +434,10 @@ def certify_natural(
     """Certify the canonical index set (or a supplied variant) at level k.
 
     For the canonical set: every proper subset yields zero identically, and
-    the full set yields sign * (head Schur polynomial) with |sign| = 1.  For
+    the full set yields sign * (head Schur polynomial) with |sign| = 1.  The
+    subsets have order below n_k, so one sweep of all such multisets proves
+    them (its first survivor is the error) before their certificates are
+    listed in ``combinations`` order.  For
     a variant set only non-vanishing is certified (its ratio to the head
     polynomial is a non-constant function of the point).
     """
@@ -451,14 +446,13 @@ def certify_natural(
     index = nat if index_set is None else _sorted_index(sig, index_set)[::-1]
     canonical = index == nat
     mode = _mode(sig)
-    certificates = []
 
     if canonical:
-        for size in range(len(index)):
-            for subset in combinations(index, size):
-                certificates.append(
-                    _zero_certificate(sig, k, tuple(sorted(subset)), trials, seed)
-                )
+        _vanishing_walk(sig, k, 1, len(index), trials, seed)
+        certificates = [
+            DerivativeCertificate(k, tuple(sorted(subset)), "zero", None, mode, trials)
+            for size in range(len(index)) for subset in combinations(index, size)
+        ]
         certificates.append(
             _constant_multiple_certificate(
                 sig, k, tuple(sorted(index)), trials, expected_abs=1
@@ -473,9 +467,7 @@ def certify_natural(
                 f"level {k} of ({sig.r},{sig.s})",
                 signature=sig, k=k, index_multiset=sorted_index, survivors={},
             )
-        certificates.append(
-            DerivativeCertificate(k, sorted_index, "nonzero", None, mode, trials)
-        )
+        certificates = [DerivativeCertificate(k, sorted_index, "nonzero", None, mode, trials)]
     return CertificateBundle(sig, k, index, mode, trials, tuple(certificates))
 
 

@@ -48,7 +48,7 @@ EXIT_CERTIFICATION = 3
 EXIT_TOLERANCE = 4
 GAPS_MAX_COUNT = 100_000  # rows `gaps` prints at most; checked before any is built
 TABLE_MAX_GENUS = 1_000  # genus `strata` and `natural` tabulate at most; checked likewise
-CERTIFY_MAX_GENUS = 36  # genus `certify` takes at most; checked likewise
+CERTIFY_MAX_GENUS = 36  # genus `certify` takes at most (2^n_k certificates in memory); checked likewise
 
 
 def _md_table(header: list[str], rows: list[list[str]]) -> str:

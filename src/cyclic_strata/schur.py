@@ -47,7 +47,12 @@ rule computes ``chi^L_rho`` as the signed count of ways to empty L by
 removing rim hooks of sizes ``rho_1, rho_2, ...``.  On a g-bead abacus (an
 int bit mask whose beads are the beta-numbers ``L_i + g - i``) removing an
 m-rim hook moves one bead from x to x - m with sign (-1)^(beads strictly
-between); the certifier runs the same walk.
+between); the certifier runs the same walk.  The smallest hook is 1, and a
+run of N 1-hooks empties a partition mu of N boxes in f^mu ways, one per
+standard tableau.  So the walk branches only on the other hooks, and at each
+of its states ``sum c_mu s_mu`` closes the run in one step: it adds the term
+``(sum c_mu f^mu) / (prod_j m_j! * N!) * u^M u_g^N`` with f^mu from the
+hook-length formula (Frame, Robinson and Thrall, 1954; Macdonald I.7).
 
 For the diagram of a curve signature only the g power sums
 ``T_(L_i + g - i)`` indexed by the first-column hook lengths occur.
@@ -322,6 +327,14 @@ def _partition(mask: int) -> tuple[int, ...]:
     return tuple(p for p in reversed([b - i for i, b in enumerate(beads)]) if p)
 
 
+@lru_cache(maxsize=4096)
+def _tableaux(shape: tuple[int, ...]) -> int:
+    """f^shape, the standard tableaux of a straight shape (hook-length formula)."""
+    cols = [sum(1 for p in shape if p > j) for j in range(shape[0] if shape else 0)]
+    hooks = prod(p - j + cols[j] - i - 1 for i, p in enumerate(shape) for j in range(p))
+    return factorial(sum(shape)) // hooks
+
+
 def _remove_rim_hooks(state: dict[int, int], m: int) -> dict[int, int]:
     """p_m^perp on a signed combination of bead masks (Murnaghan-Nakayama).
 
@@ -346,27 +359,33 @@ def _remove_rim_hooks(state: dict[int, int], m: int) -> dict[int, int]:
     return out
 
 
-def _character_form(state: dict[int, int], hooks) -> SparsePolynomial:
+def _character_form(state: dict[int, int], hooks, size: int) -> SparsePolynomial:
     """``sum_M chi(M) / prod_j m_j(M)! * u^M`` over the nondecreasing multisets
     M of hook indices; chi(M) is the coefficient of the empty partition once
     the rim hooks of M are removed from ``state``, a combination of partitions
-    of one size.
+    of ``size`` boxes.
+
+    M ends in its run of N indices g, whose hook is 1, and the walk branches
+    only on the indices below g: at each node the run is closed in one step,
+    ``chi = sum c_mu f^mu``, since the ways to empty mu one box at a time are
+    its standard tableaux.
     """
-    empty = (1 << len(hooks)) - 1
+    g = len(hooks)
     terms = {}
 
-    def visit(state, index, last):
-        if empty in state:  # then it is the only partition left
+    def visit(state, size, index, last):
+        chi = sum(c * _tableaux(_partition(mask)) for mask, c in state.items())
+        if chi:
             counts = Counter(index)
+            counts[g] = size
             terms[MultiIndex(counts.items())] = Fraction(
-                state[empty], prod(map(factorial, counts.values())))
-            return
-        for j in range(last, len(hooks) + 1):
+                chi, prod(map(factorial, counts.values())))
+        for j in range(last, g):
             reduced = _remove_rim_hooks(state, hooks[j - 1])
             if reduced:
-                visit(reduced, index + (j,), j)
+                visit(reduced, size - hooks[j - 1], index + (j,), j)
 
-    visit(state, (), 1)
+    visit(state, size, (), 1)
     return SparsePolynomial("u", terms)
 
 
@@ -406,7 +425,7 @@ def schur_in_T(
                 f"natural derivative for head truncation k={k} of ({sig.r},{sig.s}) "
                 f"carries the head diagram with coefficient {sign}, not +/-1"
             )
-    as_u = _character_form(state, hooks).scale(sign)
+    as_u = _character_form(state, hooks, sum(parts)).scale(sign)
     as_T = as_u.rename_variables(dict(enumerate(hooks, start=1)), "T")
     return SchurForm(diagram, as_T, as_u)
 

@@ -18,17 +18,24 @@ closing run of u_g derivatives one box at a time, and prune each state by the
 boxes below row k read off its partitions.  The production engine removes
 that run in one step and also prunes by empty bead positions.
 
+The box-by-box character form walks every branch of the Murnaghan-Nakayama
+expansion of the power-sum form, the u_g derivatives (hook 1) one box at a
+time, and reads chi off the empty partition.  The production walk closes each
+run of u_g derivatives in one step with the hook-length formula.
+
 The per-level profile builds one level of the stratum table from scratch
 with the public per-level functions: the tail diagram's characteristics, the
 counts over the pole orders and a hook-to-row dictionary.  The production
 table builds every level in one pass from the full diagram's conjugate.
 """
 
+from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
+from math import factorial, prod
 
-from cyclic_strata.polynomials import SparsePolynomial, _sum_of_products, det
+from cyclic_strata.polynomials import MultiIndex, SparsePolynomial, _sum_of_products, det
 from cyclic_strata.schur import (
     SymmetricWindow,
     _beads,
@@ -141,6 +148,29 @@ def box_by_box_survivors(sig: CurveSignature, k: int, index) -> dict:
         remaining -= m
         state = prune(_remove_rim_hooks(state, m))
     return {_partition(mask): c for mask, c in state.items()}
+
+
+def box_by_box_character_form(state: dict[int, int], hooks) -> SparsePolynomial:
+    """``sum_M chi(M) / prod_j m_j(M)! * u^M`` over the nondecreasing multisets
+    M of hook indices, branching on every index; chi(M) is the coefficient of
+    the empty partition once the rim hooks of M are removed from ``state``, a
+    combination of partitions of one size."""
+    empty = (1 << len(hooks)) - 1
+    terms = {}
+
+    def visit(state, index, last):
+        if empty in state:  # then it is the only partition left
+            counts = Counter(index)
+            terms[MultiIndex(counts.items())] = Fraction(
+                state[empty], prod(map(factorial, counts.values())))
+            return
+        for j in range(last, len(hooks) + 1):
+            reduced = _remove_rim_hooks(state, hooks[j - 1])
+            if reduced:
+                visit(reduced, index + (j,), j)
+
+    visit(state, (), 1)
+    return SparsePolynomial("u", terms)
 
 
 def per_level_profile(sig: CurveSignature, k: int) -> StratumProfile:

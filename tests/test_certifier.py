@@ -372,6 +372,46 @@ def test_certify_natural_small():
     assert bundle34.main.constant == -1
 
 
+def test_natural_zero_certificates_are_the_proper_subsets():
+    # One walk proves them; each subset's own survivors are the oracle.
+    for rs in [(3, 5), (4, 5), (3, 7), (5, 7), (2, 9), (3, 8), (2, 21)]:
+        sig = CurveSignature(*rs)
+        for k in range(1, sig.genus):
+            nat = natural_k(sig, k)
+            subsets = [tuple(sorted(s)) for n in range(len(nat)) for s in combinations(nat, n)]
+            bundle = certify_natural(sig, k)
+            zero = bundle.certificates[:-1]
+            assert [c.index_multiset for c in zero] == subsets, (rs, k)
+            assert all((c.verdict, c.constant) == ("zero", None) for c in zero), (rs, k)
+            assert all(_survivors(sig, k, subset) == {} for subset in subsets), (rs, k)
+
+
+def test_certify_natural_reads_survivors_once(monkeypatch):
+    # The proper subsets come from the walk; only the full set is read.
+    calls = []
+
+    def counting(sig, k, index):
+        calls.append(index)
+        return _survivors(sig, k, index)
+
+    monkeypatch.setattr(certifier, "_survivors", counting)
+    certify_natural(CurveSignature(2, 21), 1)
+    assert len(calls) == 1
+
+
+def test_certify_natural_names_a_surviving_subset(monkeypatch):
+    # Injected fault: with (4, 3, 2) as the level-1 set of (2,9) the
+    # multisets of order below 3 do not all vanish.
+    sig = CurveSignature(2, 9)
+    monkeypatch.setattr(certifier, "natural_k", lambda sig, k: (4, 3, 2))
+    with pytest.raises(CertificationError) as info:
+        certify_natural(sig, 1)
+    error = info.value
+    assert len(error.index_multiset) < 3 and error.survivors
+    assert error.survivors == _survivors(sig, 1, error.index_multiset)
+    assert (error.index_multiset, error.survivors) == ((1, 3), {(): 1})
+
+
 def test_certify_natural_sampled_mode():
     bundle = certify_natural(CurveSignature(5, 7), 11)
     assert bundle.mode == "sampled"

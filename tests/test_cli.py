@@ -53,6 +53,7 @@ def test_natural_golden(capsys):
     (("schur", "3", "5", "--format", "json"), "schur_3_5.json"),
     (("schur", "3", "7", "--k", "3"), "schur_3_7_k3.md"),
     (("certify", "3", "17", "--format", "csv"), "certify_3_17.csv"),
+    (("schur", "4", "7", "--max-expand-genus", "9", "--format", "json"), "schur_4_7_g9.json"),
 ])
 def test_json_and_csv_golden(capsys, argv, golden):
     code, out, _ = run_cli(capsys, *argv)

@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import coprime_signatures
 from oracles import (
+    box_by_box_character_form,
     determinant_power_sum_form,
     generic_left_minors,
     generic_split_sum,
@@ -19,6 +20,7 @@ from cyclic_strata.polynomials import MultiIndex, SparsePolynomial as Poly, det
 from cyclic_strata.schur import (
     ExpansionLimitError,
     SymmetricWindow,
+    _beads,
     _partition,
     _remove_rim_hooks,
     bialternant_value,
@@ -36,7 +38,7 @@ from cyclic_strata.schur import (
     transition_matrix,
 )
 from cyclic_strata.semigroup import CurveSignature, YoungDiagram, young_diagram, u_weights
-from cyclic_strata.strata import truncate_upper
+from cyclic_strata.strata import natural_k, truncate_upper
 
 
 def brute_h(n, lo, hi):
@@ -363,6 +365,40 @@ def test_schur_in_T_reaches_genus_7():
         expected = jacobi_trudi_value(head, k, values[:k])
         power_sums = {m: sum(v ** m for v in values[:k]) / m for m in form.as_T.variables()}
         assert form.as_T.evaluate(power_sums) == expected, k
+
+
+def test_schur_in_T_matches_box_by_box_oracle():
+    # The one-step close of each u_g run against the walk that removes its
+    # boxes one at a time, at every head of five curves of genus 7 to 9.
+    for rs in [(3, 8), (4, 7), (3, 10), (2, 15), (2, 17)]:
+        sig = CurveSignature(*rs)
+        hooks = u_weights(sig)
+        lam = young_diagram(sig)
+        for k in range(1, sig.genus + 1):
+            head = truncate_upper(lam, k)
+            state, sign = {_beads(sig): 1}, 1
+            if k < sig.genus:
+                for i in natural_k(sig, k):
+                    state = _remove_rim_hooks(state, hooks[i - 1])
+                sign = {_partition(mask): c for mask, c in state.items()}[head.parts]
+            expected = box_by_box_character_form(state, hooks).scale(sign)
+            assert schur_in_T(head, sig, max_expand_genus=9).as_u == expected, (rs, k)
+
+
+def test_character_form_removes_no_single_boxes(monkeypatch):
+    # Runs of u_g derivatives (hook 1) are closed by the hook-length count,
+    # so the walk of a full diagram never removes a 1-hook.
+    remove, sizes = schur._remove_rim_hooks, []
+
+    def recording(state, m):
+        sizes.append(m)
+        return remove(state, m)
+
+    monkeypatch.setattr(schur, "_remove_rim_hooks", recording)
+    for rs in [(2, 9), (3, 5), (3, 7), (4, 5)]:
+        sig = CurveSignature(*rs)
+        schur_in_T(young_diagram(sig), sig)
+    assert sizes and 1 not in sizes
 
 
 def test_schur_in_T_rejects_foreign_diagrams():
