@@ -30,6 +30,7 @@ from .strata import (
     natural_k_i,
     rim_hook_reading,
     stratum_profile,
+    stratum_table,
     truncate_lower,
     truncate_upper,
 )

@@ -11,7 +11,7 @@ mu        interpolation coefficients for points on a concrete curve (always JSON
 
 Exit codes: 0 success, 2 invalid input, 3 certification failure, 4 numeric
 tolerance failure.  All exact data is printed without floating conversion;
-only `mu` deals in floats.
+only `mu` deals in floats.  JSON output is byte-identical to `json.dumps(indent=2)`.
 """
 
 from __future__ import annotations
@@ -24,6 +24,7 @@ import json
 import math
 import sys
 from functools import lru_cache
+from json.encoder import encode_basestring_ascii
 
 from .certifier import (
     CertificationError,
@@ -40,7 +41,7 @@ from .numerics import (
 )
 from .schur import EXPANSION_GATE, ExpansionLimitError, schur_in_T
 from .semigroup import CurveSignature, monomial_basis, nongap_sequence, young_diagram
-from .strata import natural_k, stratum_profile, truncate_upper
+from .strata import natural_k, stratum_table, truncate_upper
 
 EXIT_OK = 0
 EXIT_INVALID = 2
@@ -69,6 +70,33 @@ def _csv_table(header: list[str], rows: list[list[str]]) -> str:
 
 def _print_table(fmt: str, header: list[str], rows: list[list[str]]) -> None:
     print((_csv_table if fmt == "csv" else _md_table)(header, rows), end="")
+
+
+def _json_text(value, indent: str = "\n") -> str:
+    """The text of ``json.dumps(indent=2)`` for plain dicts with str keys, lists,
+    tuples, str, int, float, bool and None; ``indent`` is the newline and
+    indentation that ``value`` is written at.  Anything else is a TypeError."""
+    kind = type(value)
+    if kind is dict or kind is list or kind is tuple:
+        if not value:
+            return "{}" if kind is dict else "[]"
+        inner = indent + "  "
+        if kind is dict:
+            if {*map(type, value)} != {str}:
+                raise TypeError("JSON object keys must be str")
+            items = [encode_basestring_ascii(k) + ": " + _json_text(v, inner) for k, v in value.items()]
+            return "{" + inner + ("," + inner).join(items) + indent + "}"
+        items = map(str, value) if {*map(type, value)} == {int} else [_json_text(v, inner) for v in value]
+        return "[" + inner + ("," + inner).join(items) + indent + "]"
+    if kind is str:
+        return encode_basestring_ascii(value)
+    if kind is int:
+        return str(value)
+    if value is None:
+        return "null"
+    if kind is float or kind is bool:  # the C encoder: float repr, NaN, Infinity, true, false
+        return json.dumps(value)
+    raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
 
 
 def _ints(values) -> str:
@@ -113,7 +141,7 @@ def cmd_gaps(args) -> int:
             "gaps": list(ngs.gaps()),
             "monomials": [{"a": m.a, "b": m.b, "wdeg": m.wdeg, "name": m.name()} for m in basis],
         }
-        print(json.dumps(payload, indent=2))
+        print(_json_text(payload))
         return EXIT_OK
     header = ["n", "N(n)", "phi_n"]
     rows = [[str(n), str(ngs.values[n]), basis[n].name()] for n in range(count)]
@@ -128,11 +156,11 @@ def cmd_gaps(args) -> int:
 
 def cmd_strata(args) -> int:
     sig = _table_signature(args.r, args.s)
-    profiles = [stratum_profile(sig, k) for k in range(sig.genus)]
+    profiles = stratum_table(sig)[:sig.genus]
     if args.format == "json":
         payload = {"r": sig.r, "s": sig.s, "genus": sig.genus,
                    "profiles": [p.to_json_dict() for p in profiles]}
-        print(json.dumps(payload, indent=2))
+        print(_json_text(payload))
         return EXIT_OK
     header = ["k", "n_k", "N_k", "(a;b)", "(a_i+b_i+1)", "sum", "natural_k"]
     rows = []
@@ -160,23 +188,24 @@ def cmd_natural(args) -> int:
     if not sigs:
         raise SystemExit2("need at least one r,s signature")
     width = max(sig.genus - 1 for sig in sigs)
+    tables = [stratum_table(sig) for sig in sigs]
     if args.format == "json":
         payload = []
-        for sig in sigs:
+        for sig, table in zip(sigs, tables):
             payload.append({
                 "r": sig.r,
                 "s": sig.s,
                 "g": sig.genus,
-                "natural": {str(k): sorted(natural_k(sig, k)) for k in range(1, sig.genus)},
+                "natural": {str(k): sorted(table[k].natural) for k in range(1, sig.genus)},
             })
-        print(json.dumps(payload, indent=2))
+        print(_json_text(payload))
         return EXIT_OK
     header = ["(r,s)", "g"] + [f"natural_{k}" for k in range(1, width + 1)]
     rows = []
-    for sig in sigs:
+    for sig, table in zip(sigs, tables):
         cells = [f"({sig.r},{sig.s})", str(sig.genus)]
         for k in range(1, width + 1):
-            cells.append(_set_cell(natural_k(sig, k)) if k < sig.genus else "")
+            cells.append(_set_cell(table[k].natural) if k < sig.genus else "")
         rows.append(cells)
     _print_table(args.format, header, rows)
     return EXIT_OK
@@ -191,8 +220,7 @@ def cmd_schur(args) -> int:
     form = schur_in_T(diagram, sig, args.max_expand_genus)
     text = form.as_u.canonical_str()
     if args.format == "json":
-        print(json.dumps({"r": sig.r, "s": sig.s, "k": k, "genus": sig.genus,
-                          "schur_u": text}, indent=2))
+        print(_json_text({"r": sig.r, "s": sig.s, "k": k, "genus": sig.genus, "schur_u": text}))
     else:
         print(text)
     return EXIT_OK
@@ -220,15 +248,12 @@ def cmd_certify(args) -> int:
         ]
         results.append((bundle, sweep, powers))
     if args.format == "json":
-        payload = [
-            {
-                "natural": bundle.to_json_dict(),
-                "sweep": sweep.to_json_dict(),
-                "g_power": [c.to_json_dict() for c in powers],
-            }
-            for bundle, sweep, powers in results
-        ]
-        print(json.dumps(payload, indent=2))
+        # One level at a time, so only one level's dicts and text are held.
+        for i, (bundle, sweep, powers) in enumerate(results):
+            level = {"natural": bundle.to_json_dict(), "sweep": sweep.to_json_dict(),
+                     "g_power": [c.to_json_dict() for c in powers]}
+            sys.stdout.write(("," if i else "[") + "\n  " + _json_text(level, "\n  "))
+        sys.stdout.write("\n]\n")
         return EXIT_OK
     header = ["k", "index_set", "verdict", "constant", "mode", "sweep_checked"]
     rows = []
@@ -285,8 +310,8 @@ def cmd_mu(args) -> int:
         return EXIT_TOLERANCE
     except ValueError as exc:  # no points, or repeated points
         raise SystemExit2(str(exc))
-    residuals = [
-        abs(result.value(p)) / max(result.value_scale(p), 1e-300) for p in points
+    residuals = [  # float(): value_scale() is numpy's; the JSON writer takes plain floats
+        float(abs(result.value(p)) / max(result.value_scale(p), 1e-300)) for p in points
     ]
     payload = {
         "n": result.n,
@@ -295,7 +320,7 @@ def cmd_mu(args) -> int:
         "condition_number": result.condition_number,
         "extra_zero_count": result.extra_zero_count,
     }
-    print(json.dumps(payload, indent=2))
+    print(_json_text(payload))
     if any(res > args.tol for res in residuals):
         print("tolerance failure: interpolation residual too large", file=sys.stderr)
         return EXIT_TOLERANCE

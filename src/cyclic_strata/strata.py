@@ -7,11 +7,12 @@ N_k, the Fay exponent sets, and the canonical derivative index set natural_k
 obtained by matching each characteristic hook a_i + b_i + 1 against the
 first-column hook lengths L_l + g - l of the full diagram.
 
-One table per curve, built in one pass by ``_stratum_table``, serves
-:func:`stratum_profile` and :func:`natural_k`.  At each level it raises
-:class:`InternalConsistencyError` when two independent routes disagree: n_k
-and the tail rank, N_k from the pole orders, the tail weight and the hook sum,
-each hook and the rows, natural_k and k + 1, the Fay sets and n_k and N_k.
+One table per curve, built in one pass by :func:`stratum_table`, serves
+:func:`stratum_profile`, :func:`natural_k` and the CLI's whole-curve tables.
+At each level it raises :class:`InternalConsistencyError` when two
+independent routes disagree: n_k and the tail rank, N_k from the pole orders,
+the tail weight and the hook sum, each hook and the rows, natural_k and
+k + 1, the Fay sets and n_k and N_k.
 The per-level functions below recompute each item from scratch for the tests.
 The cache keeps 64 tables; one retains about 20 KB at genus 24, 0.5 MB at
 genus 200 and 28 MB at genus 1000 (the CLI's cap), and the 45 curves with
@@ -177,7 +178,7 @@ def natural_k(sig: CurveSignature, k: int) -> tuple[int, ...]:
     smallest index) is k + 1.  Empty at k = g.
     """
     _check_level(sig, k)
-    return _stratum_table(sig)[k].natural
+    return stratum_table(sig)[k].natural
 
 
 def natural_k_i(sig: CurveSignature, k: int, i: int) -> tuple[int, ...]:
@@ -240,12 +241,12 @@ def _check_level(sig: CurveSignature, k: int) -> None:
 def stratum_profile(sig: CurveSignature, k: int) -> StratumProfile:
     """The per-k bundle, read from the curve's cross-checked table."""
     _check_level(sig, k)
-    return _stratum_table(sig)[k]
+    return stratum_table(sig)[k]
 
 
 @lru_cache(maxsize=64)
-def _stratum_table(sig: CurveSignature) -> tuple[StratumProfile, ...]:
-    """All g + 1 profiles of one curve, built in one pass over the levels."""
+def stratum_table(sig: CurveSignature) -> tuple[StratumProfile, ...]:
+    """All g + 1 profiles of one curve (index k is level k), built in one pass."""
     g = sig.genus
     orders = pole_orders(sig)
     diagram = young_diagram(sig)

@@ -5,12 +5,18 @@ import time
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from conftest import read_golden
 from cyclic_strata import cli
 from cyclic_strata.certifier import CertificationError
 from cyclic_strata.numerics import CurveInstance, lift_points
 from cyclic_strata.semigroup import CurveSignature
+
+
+def subcommand_parsers() -> dict[str, argparse.ArgumentParser]:
+    return next(action.choices for action in cli.build_parser()._actions
+                if isinstance(action, argparse._SubParsersAction))
 
 
 def run_cli(capsys, *argv):
@@ -54,6 +60,7 @@ def test_natural_golden(capsys):
     (("schur", "3", "7", "--k", "3"), "schur_3_7_k3.md"),
     (("certify", "3", "17", "--format", "csv"), "certify_3_17.csv"),
     (("schur", "4", "7", "--max-expand-genus", "9", "--format", "json"), "schur_4_7_g9.json"),
+    (("gaps", "5", "7", "--format", "json"), "gaps_5_7.json"),
 ])
 def test_json_and_csv_golden(capsys, argv, golden):
     code, out, _ = run_cli(capsys, *argv)
@@ -99,8 +106,10 @@ def test_strata_and_natural_cap_the_genus_before_anything_is_built(capsys, monke
     def unreachable(*args):
         raise AssertionError("a table row was built before the genus was checked")
 
-    monkeypatch.setattr(cli, "stratum_profile", unreachable)
-    monkeypatch.setattr(cli, "natural_k", unreachable)
+    monkeypatch.setattr(cli, "stratum_table", unreachable)
+    for argv in (["strata", "2", "5"], ["natural", "2,5"]):  # the patched name is the one read
+        with pytest.raises(AssertionError, match="table row"):
+            cli.main(argv)
     message = f"genus {cap + 1} of (2,{2 * cap + 3}) exceeds the table cap {cap}"
     code, out, err = run_cli(capsys, "strata", "2", str(2 * cap + 3))
     assert (code, out, err) == (2, "", f"error: {message}\n")
@@ -221,6 +230,21 @@ def test_certify_failure_exit_code(capsys, monkeypatch):
     assert code == 3
     assert "injected fault" in err
     assert "witness" in err
+
+
+def test_certify_json_prints_nothing_when_a_later_level_fails(capsys, monkeypatch):
+    # Level 1 certifies, level 2 fails: the JSON of level 1 must not have been written.
+    certify_natural = cli.certify_natural
+
+    def fail_at_level_2(sig, k, trials, **kwargs):
+        if k == 2:
+            raise CertificationError("injected fault", point=(1, 2))
+        return certify_natural(sig, k, trials, **kwargs)
+
+    monkeypatch.setattr(cli, "certify_natural", fail_at_level_2)
+    code, out, err = run_cli(capsys, "certify", "2", "7", "--format", "json")
+    assert (code, out) == (3, "")
+    assert "injected fault" in err and "witness point: ('1', '2')" in err
 
 
 def test_certify_failure_prints_survivors(capsys, monkeypatch):
@@ -379,14 +403,68 @@ def test_readme_cli_section_names_every_flag():
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     section = readme.split("\n## CLI\n", 1)[1].split("\n## ", 1)[0]
     named = set(re.findall(r"--[a-z][a-z-]*", section))
-    subcommands = next(action.choices for action in cli.build_parser()._actions
-                       if isinstance(action, argparse._SubParsersAction))
     options = {
         option
-        for sub in subcommands.values()
+        for sub in subcommand_parsers().values()
         for action in sub._actions
         for option in action.option_strings
         if option.startswith("--") and option != "--help"
     }
     assert options - named == set()
     assert named - options == set()
+
+
+JSON_SCALARS = (st.none() | st.booleans() | st.integers() | st.integers(min_value=-2**200, max_value=2**200)
+                | st.floats(allow_nan=True, allow_infinity=True) | st.just(-0.0) | st.text())
+JSON_VALUES = st.recursive(
+    JSON_SCALARS | st.lists(st.integers() | st.booleans()),
+    lambda inner: st.lists(inner) | st.lists(inner).map(tuple) | st.dictionaries(st.text(), inner),
+    max_leaves=30,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(JSON_VALUES)
+@example([[], {}, (), {"a": {}, "b": [[]]}])
+@example([[1, True, 0, False], [True], [10**60, -10**60, -1]])
+@example({"\u00e9\n": ["\u00e9\u4e2d\U0001f600", '"q"\\', "\x00\x1f\n\t\x7f"]})
+@example([float("nan"), float("inf"), -float("inf"), -0.0, 1e-300])
+def test_json_text_is_json_dumps_indent_2(value):
+    assert cli._json_text(value) == json.dumps(value, indent=2)
+
+
+@pytest.mark.parametrize("value", [{1: 2}, {"a": {None: 1}}, [{(1,): 2}], {1.5}, [b"x"],
+                                   {"a": 2 + 1j}, range(2)])
+def test_json_text_rejects_what_it_does_not_cover(value):
+    with pytest.raises(TypeError):
+        cli._json_text(value)
+
+
+def json_commands() -> list[str]:
+    return sorted(
+        name for name, sub in subcommand_parsers().items()
+        if name == "mu" or any("--format" in action.option_strings and "json" in action.choices
+                               for action in sub._actions)
+    )
+
+
+JSON_ARGV = {
+    "gaps": ["gaps", "5", "7"],
+    "strata": ["strata", "3", "7"],
+    "natural": ["natural", "2,5", "3,7"],
+    "schur": ["schur", "2", "7"],
+    "certify": ["certify", "2", "7"],
+}
+
+
+@pytest.mark.parametrize("command", json_commands())
+def test_every_json_output_is_json_dumps_indent_2(capsys, tmp_path, command):
+    # A new JSON-printing command fails here until it gets a case.
+    if command == "mu":
+        curve_path, points_path = write_curve_files(tmp_path)
+        argv = ["mu", "--curve", str(curve_path), "--points", str(points_path)]
+    else:
+        argv = JSON_ARGV[command] + ["--format", "json"]
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert out == json.dumps(json.loads(out), indent=2) + "\n"

@@ -314,7 +314,7 @@ def test_table_matches_the_per_level_oracle(s):
 def test_table_checks_fire_on_inconsistent_data(monkeypatch, r, s, name, value, message):
     # Each injection keeps every earlier check consistent, so the named one fires.
     sig = CurveSignature(r, s)
-    strata._stratum_table.cache_clear()
+    strata.stratum_table.cache_clear()
     monkeypatch.setattr(strata, name, lambda _sig: value)
     for read in (stratum_profile, natural_k):
         with pytest.raises(InternalConsistencyError, match=message):
@@ -327,7 +327,7 @@ def test_k_is_checked_before_the_table_is_read(monkeypatch):
     def unreachable(sig):
         raise AssertionError("the table was read for a level outside [0, g]")
 
-    monkeypatch.setattr(strata, "_stratum_table", unreachable)
+    monkeypatch.setattr(strata, "stratum_table", unreachable)
     for read in (stratum_profile, natural_k):
         for k in (-1, SIG57.genus + 1):
             with pytest.raises(ValueError, match=r"k must lie in \[0, 12\]"):
@@ -335,7 +335,7 @@ def test_k_is_checked_before_the_table_is_read(monkeypatch):
 
 
 def test_table_cache_is_bounded():
-    table = strata._stratum_table
+    table = strata.stratum_table
     maxsize = table.cache_info().maxsize
     assert maxsize == 64
     signatures = [CurveSignature(r, s) for r, s in coprime_signatures(30)[:100]]
