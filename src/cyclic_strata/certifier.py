@@ -67,9 +67,10 @@ integers by scaling its rows.
 
 Every proper subset of natural_k is a multiset of order below n_k, so the
 one pruned walk that proves the sub-vanishing statement proves them all:
-:func:`certify_natural` runs it once and then lists a zero certificate per
-subset.  Only the full set, the variant sets and the g-power trades read
-their own survivors.
+:func:`certify_natural` runs it once and builds only the full set's
+certificate, and a bundle lists the 2^n_k - 1 zero certificates of the
+subsets each time its ``certificates`` are read.  Only the full set, the
+variant sets and the g-power trades read their own survivors.
 
 Certificates keep the vocabulary of the earlier evaluation pipelines: mode
 ``"expanded"`` at genus <= ``schur.EXPANSION_GATE`` and ``"sampled"`` above
@@ -149,16 +150,30 @@ class DerivativeCertificate:
 
 @dataclass(frozen=True)
 class CertificateBundle:
+    """The certified index set of one level and its ``main`` certificate.
+
+    ``certificates`` is listed afresh on each read and not stored: for the
+    canonical set, one zero certificate per proper subset in ``combinations``
+    order and then ``main``; for a variant set, ``main`` alone.
+    """
+
     signature: CurveSignature
     k: int
     index_set: tuple[int, ...]
     mode: str
     trials: int
-    certificates: tuple[DerivativeCertificate, ...]
+    main: DerivativeCertificate
 
     @property
-    def main(self) -> DerivativeCertificate:
-        return self.certificates[-1]
+    def certificates(self) -> tuple[DerivativeCertificate, ...]:
+        if self.index_set != natural_k(self.signature, self.k):
+            return (self.main,)
+        zeros = (
+            DerivativeCertificate(self.k, subset[::-1], "zero", None, self.mode, self.trials)
+            for size in range(len(self.index_set))
+            for subset in combinations(self.index_set, size)
+        )
+        return (*zeros, self.main)
 
     def to_json_dict(self) -> dict:
         return {
@@ -436,39 +451,29 @@ def certify_natural(
     For the canonical set: every proper subset yields zero identically, and
     the full set yields sign * (head Schur polynomial) with |sign| = 1.  The
     subsets have order below n_k, so one sweep of all such multisets proves
-    them (its first survivor is the error) before their certificates are
-    listed in ``combinations`` order.  For
+    them (its first survivor is the error); the bundle keeps only the full
+    set's certificate and lists the subsets' zero certificates when read.  For
     a variant set only non-vanishing is certified (its ratio to the head
     polynomial is a non-constant function of the point).
     """
     _check_arguments(sig, k, trials, seed)
     nat = natural_k(sig, k)
     index = nat if index_set is None else _sorted_index(sig, index_set)[::-1]
-    canonical = index == nat
+    ascending = index[::-1]
     mode = _mode(sig)
 
-    if canonical:
+    if index == nat:
         _vanishing_walk(sig, k, 1, len(index), trials, seed)
-        certificates = [
-            DerivativeCertificate(k, tuple(sorted(subset)), "zero", None, mode, trials)
-            for size in range(len(index)) for subset in combinations(index, size)
-        ]
-        certificates.append(
-            _constant_multiple_certificate(
-                sig, k, tuple(sorted(index)), trials, expected_abs=1
-            )
-        )
+        main = _constant_multiple_certificate(sig, k, ascending, trials, expected_abs=1)
     else:
-        sorted_index = tuple(sorted(index))
-        survivors = _survivors(sig, k, sorted_index)
-        if not survivors:
+        if not _survivors(sig, k, ascending):
             raise CertificationError(
-                f"variant derivative {sorted_index} vanishes identically on "
+                f"variant derivative {ascending} vanishes identically on "
                 f"level {k} of ({sig.r},{sig.s})",
-                signature=sig, k=k, index_multiset=sorted_index, survivors={},
+                signature=sig, k=k, index_multiset=ascending, survivors={},
             )
-        certificates = [DerivativeCertificate(k, sorted_index, "nonzero", None, mode, trials)]
-    return CertificateBundle(sig, k, index, mode, trials, tuple(certificates))
+        main = DerivativeCertificate(k, ascending, "nonzero", None, mode, trials)
+    return CertificateBundle(sig, k, index, mode, trials, main)
 
 
 def certify_g_power(

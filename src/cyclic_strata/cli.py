@@ -39,7 +39,7 @@ from .numerics import (
     affine_point,
     mu_coeffs,
 )
-from .schur import EXPANSION_GATE, ExpansionLimitError, schur_in_T
+from .schur import EXPANSION_GATE, ExpansionLimitError, check_expansion_gate, schur_in_T
 from .semigroup import CurveSignature, monomial_basis, nongap_sequence, young_diagram
 from .strata import natural_k, stratum_table, truncate_upper
 
@@ -47,9 +47,9 @@ EXIT_OK = 0
 EXIT_INVALID = 2
 EXIT_CERTIFICATION = 3
 EXIT_TOLERANCE = 4
-GAPS_MAX_COUNT = 100_000  # rows `gaps` prints at most; checked before any is built
+GAPS_MAX_COUNT = 100_000  # rows, and genus, `gaps` prints at most; checked before any is built
 TABLE_MAX_GENUS = 1_000  # genus `strata` and `natural` tabulate at most; checked likewise
-CERTIFY_MAX_GENUS = 36  # genus `certify` takes at most (2^n_k certificates in memory); checked likewise
+CERTIFY_MAX_GENUS = 36  # genus `certify` takes at most (its JSON lists 2^n_k certificates a level); checked likewise
 
 
 def _md_table(header: list[str], rows: list[list[str]]) -> str:
@@ -127,6 +127,8 @@ class SystemExit2(Exception):
 
 def cmd_gaps(args) -> int:
     sig = _parse_signature(args.r, args.s)
+    if sig.genus > GAPS_MAX_COUNT:
+        raise SystemExit2(f"genus {sig.genus} of ({sig.r},{sig.s}) exceeds the gaps cap {GAPS_MAX_COUNT}")
     count = args.count if args.count is not None else sig.genus + 1
     if not 1 <= count <= GAPS_MAX_COUNT:
         raise SystemExit2(f"--count must lie in [1, {GAPS_MAX_COUNT}], got {count}")
@@ -216,6 +218,8 @@ def cmd_schur(args) -> int:
     k = args.k if args.k is not None else sig.genus
     if not 0 <= k <= sig.genus:
         raise SystemExit2(f"k must lie in [0, {sig.genus}]")
+    if k:  # every head but the empty one expands the full form
+        check_expansion_gate(sig, args.max_expand_genus)
     diagram = truncate_upper(young_diagram(sig), k)
     form = schur_in_T(diagram, sig, args.max_expand_genus)
     text = form.as_u.canonical_str()
@@ -310,9 +314,7 @@ def cmd_mu(args) -> int:
         return EXIT_TOLERANCE
     except ValueError as exc:  # no points, or repeated points
         raise SystemExit2(str(exc))
-    residuals = [  # float(): value_scale() is numpy's; the JSON writer takes plain floats
-        float(abs(result.value(p)) / max(result.value_scale(p), 1e-300)) for p in points
-    ]
+    residuals = [abs(result.value(p)) / max(result.value_scale(p), 1e-300) for p in points]
     payload = {
         "n": result.n,
         "coefficients": [[c.real, c.imag] for c in result.coefficients],

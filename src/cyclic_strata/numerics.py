@@ -63,11 +63,6 @@ class CurveInstance:
             value = value * x + c
         return value
 
-    def lambda_weights(self) -> tuple[int, ...]:
-        """Quasi-homogeneity bookkeeping: lambda_i carries weight (s - i) r."""
-        r, s = self.signature.r, self.signature.s
-        return tuple((s - i) * r for i in range(s))
-
 
 @dataclass(frozen=True)
 class AffinePoint:
@@ -148,7 +143,7 @@ class MuCoefficients:
 
     def value_scale(self, point: AffinePoint) -> float:
         """Magnitude scale of the defining sum at a point, for residual tests."""
-        phi = _phi_values(self.curve, [point], self.n + 1)[0]
+        phi = _phi_values(self.curve, [point], self.n + 1)[0].tolist()
         n = self.n
         return abs(phi[n]) + sum(abs(self.coefficients[k] * phi[k]) for k in range(n))
 

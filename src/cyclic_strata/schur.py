@@ -109,6 +109,15 @@ class ExpansionLimitError(ValueError):
     """Full symbolic expansion was requested above the configured genus gate."""
 
 
+def check_expansion_gate(sig: CurveSignature, max_expand_genus: int) -> None:
+    """Raise :class:`ExpansionLimitError` when the genus exceeds the gate."""
+    if sig.genus > max_expand_genus:
+        raise ExpansionLimitError(
+            f"genus {sig.genus} exceeds the expansion gate {max_expand_genus}; "
+            "raise max_expand_genus (--max-expand-genus on the command line)"
+        )
+
+
 @dataclass(frozen=True)
 class SymmetricWindow:
     """Inclusive variable range t_lo..t_hi used by windowed h functions."""
@@ -406,13 +415,9 @@ def schur_in_T(
     k = len(parts)
     if parts != lam.parts and (k > sig.genus or parts != truncate_upper(lam, k).parts):
         raise ValueError("diagram must be the curve diagram or one of its head truncations")
-    if parts and sig.genus > max_expand_genus:
-        raise ExpansionLimitError(
-            f"genus {sig.genus} exceeds the expansion gate {max_expand_genus}; "
-            "raise max_expand_genus (--max-expand-genus on the command line)"
-        )
     if not parts:
         return SchurForm(diagram, SparsePolynomial.one("T"), SparsePolynomial.one("u"))
+    check_expansion_gate(sig, max_expand_genus)
     hooks = u_weights(sig)
     state = {_beads(sig): 1}
     sign = 1

@@ -11,7 +11,9 @@ from conftest import coprime_signatures
 from oracles import box_by_box_survivors, determinant_power_sum_form
 from cyclic_strata import certifier
 from cyclic_strata.certifier import (
+    CertificateBundle,
     CertificationError,
+    DerivativeCertificate,
     _beads,
     _constant_multiple_certificate,
     _partition,
@@ -397,6 +399,38 @@ def test_certify_natural_reads_survivors_once(monkeypatch):
     monkeypatch.setattr(certifier, "_survivors", counting)
     certify_natural(CurveSignature(2, 21), 1)
     assert len(calls) == 1
+
+
+def test_certify_natural_builds_only_the_main_certificate(monkeypatch):
+    # The walk proves the 31 proper subsets of (2,21)'s level-1 set; their
+    # zero certificates are built only when the bundle's certificates are read.
+    built = []
+
+    def counting(*args):
+        built.append(args)
+        return DerivativeCertificate(*args)
+
+    monkeypatch.setattr(certifier, "DerivativeCertificate", counting)
+    bundle = certify_natural(CurveSignature(2, 21), 1)
+    assert len(built) == 1
+    certificates = bundle.certificates
+    assert len(certificates) == 32 and certificates[-1] is bundle.main
+    assert len(built) == 32
+
+
+def test_a_bundle_lists_its_certificates_on_each_read():
+    sig = CurveSignature(2, 9)
+    nat = natural_k(sig, 1)
+    main = DerivativeCertificate(1, nat[::-1], "nonzero", Fraction(-1), "expanded", 3)
+    bundle = CertificateBundle(sig, 1, nat, "expanded", 3, main=main)
+    assert nat == (4, 2)
+    assert bundle.certificates == bundle.certificates
+    assert [c.index_multiset for c in bundle.certificates] == [(), (4,), (2,), (2, 4)]
+    variant = tuple(sorted(natural_k_i(sig, 1, 1), reverse=True))
+    main = DerivativeCertificate(1, variant[::-1], "nonzero", None, "expanded", 3)
+    bundle = CertificateBundle(sig, 1, variant, "expanded", 3, main=main)
+    assert bundle.certificates == (main,)
+    assert certify_natural(sig, 1, index_set=variant).certificates == (main,)
 
 
 def test_certify_natural_names_a_surviving_subset(monkeypatch):

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from conftest import read_golden
-from cyclic_strata import cli
+from cyclic_strata import certifier, cli
 from cyclic_strata.certifier import CertificationError
 from cyclic_strata.numerics import CurveInstance, lift_points
 from cyclic_strata.semigroup import CurveSignature
@@ -115,6 +115,61 @@ def test_strata_and_natural_cap_the_genus_before_anything_is_built(capsys, monke
     assert (code, out, err) == (2, "", f"error: {message}\n")
     code, out, err = run_cli(capsys, "natural", "2,5", f"2,{2 * cap + 3}", "--format", "json")
     assert (code, out, err) == (2, "", f"error: bad signature '2,{2 * cap + 3}': {message}\n")
+
+
+# For each subcommand that takes `r s`: arguments above its bound, and the
+# entry points whose work grows with the genus, none of which may run first.
+BOUND_CASES = {
+    "gaps": (["2", str(2 * cli.GAPS_MAX_COUNT + 3), "--count", "5"],
+             ["nongap_sequence", "monomial_basis"]),
+    "strata": (["2", str(2 * cli.TABLE_MAX_GENUS + 3)], ["stratum_table"]),
+    "schur": (["2", "2000001", "--k", "1"], ["young_diagram", "truncate_upper", "schur_in_T"]),
+    "certify": (["2", str(2 * cli.CERTIFY_MAX_GENUS + 3)],
+                ["certify_natural", "sub_vanishing_sweep", "certify_g_power", "natural_k"]),
+}
+
+
+def r_s_subcommands() -> list[str]:
+    return [name for name, parser in subcommand_parsers().items()
+            if {"r", "s"} <= {a.dest for a in parser._actions if not a.option_strings}]
+
+
+@pytest.mark.parametrize("command", r_s_subcommands())
+def test_every_r_s_subcommand_checks_its_bound_first(capsys, monkeypatch, command):
+    assert command in BOUND_CASES, f"`{command}` takes r s but has no bound case"
+    argv, entry_points = BOUND_CASES[command]
+
+    def unreachable(*args, **kwargs):
+        raise AssertionError(f"`{command}` did work that grows with the genus before its bound")
+
+    for name in entry_points:
+        monkeypatch.setattr(cli, name, unreachable)
+    genus = CurveSignature(int(argv[0]), int(argv[1])).genus
+    code, out, err = run_cli(capsys, command, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: genus {genus} ") and err.count("\n") == 1
+
+
+def test_gaps_takes_a_genus_up_to_its_cap(capsys):
+    cap = cli.GAPS_MAX_COUNT
+    code, out, _ = run_cli(capsys, "gaps", "2", str(2 * cap + 1), "--count", "2", "--format", "csv")
+    assert code == 0 and out.splitlines()[1:] == ["0,0,1", "1,2,x"]
+    code, _, err = run_cli(capsys, "gaps", "2", str(2 * cap + 3), "--count", "2")
+    assert (code, err) == (2, f"error: genus {cap + 1} of (2,{2 * cap + 3}) exceeds the gaps cap {cap}\n")
+
+
+def test_certify_csv_builds_no_zero_certificate(capsys, monkeypatch):
+    verdicts = []
+    original = certifier.DerivativeCertificate
+
+    def recording(*args):
+        verdicts.append(args[2])
+        return original(*args)
+
+    monkeypatch.setattr(certifier, "DerivativeCertificate", recording)
+    code, out, _ = run_cli(capsys, "certify", "2", "21", "--format", "csv")
+    assert code == 0 and out.startswith("k,index_set,verdict")
+    assert verdicts and "zero" not in verdicts
 
 
 @pytest.mark.parametrize("r, s", [(7, 9), (5, 13)])

@@ -39,7 +39,6 @@ def test_curve_instance_validation():
     with pytest.raises(ValueError):
         CurveInstance(CurveSignature(2, 5), (1, 0))
     assert CURVE_25.f(2) == 33
-    assert CURVE_25.lambda_weights() == (10, 8, 6, 4, 2)
 
 
 def test_lift_branches():
@@ -83,6 +82,7 @@ def test_mu_single_point():
     result = mu_coeffs(CURVE_25, pts)
     assert abs(result.coefficients[0] - pts[0].x) < 1e-13
     assert result.extra_zero_count == 1  # pole order 2, one point
+    assert type(result.value_scale(pts[0])) is float  # the CLI's JSON writer takes no numpy floats
 
 
 def test_mu_rejects_duplicates_and_special():
