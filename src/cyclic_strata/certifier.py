@@ -52,7 +52,7 @@ hand each prefix state to its extensions, and count the extensions of a state
 pruned to nothing with a binomial coefficient instead of visiting them.
 
 Every sorted index multiset ends in its run of N derivatives along u_g,
-whose hook is 1, and that run is closed in one step:
+whose hook is 1, and that run is closed without walking it box by box:
 ``(p_1^perp)^N s_mu = sum f^(mu/nu) s_nu`` over the nu inside mu with
 ``|mu/nu| = N``, where f counts the standard tableaux of the skew shape
 (p_1^perp removes each corner box with coefficient 1, and a chain of N such
@@ -60,10 +60,15 @@ removals read backwards is a standard tableau of mu/nu).  Only nu inside
 ``mu[:k]`` survive.  A pruned term has at most N boxes below row k; with
 exactly N its one survivor is ``mu[:k]``, and ``mu/mu[:k]`` is the straight
 shape of its lower rows, counted by the hook-length formula (Frame, Robinson
-and Thrall, 1954).  Any other term also loses boxes from its top k rows, and
-f of each candidate nu is Aitken's determinant
-``N! det[1/(mu_i - nu_j - i + j)!]`` (Stanley, *EC2* Cor. 7.16.3), taken in
-integers by scaling its rows.
+and Thrall, 1954).  A short term, with fewer, gives up one box through
+``(p_1^perp)^N = (p_1^perp)^(N-1) p_1^perp``, and the rest of the run is
+closed the same way.  The certified multisets never leave a term short, so
+their run closes in one pass.  The natural set and its g-power trades have
+weight ``N_k = |L[k:]|``, and every term mu lies inside L and has
+``|L| - N_k + N`` boxes, of which its top k rows keep at most ``|L[:k]|``:
+at least N lie below row k.  A variant set holds at most one u_g
+derivative, and a term short of it already has length <= k: it survives a
+multiset of order below n_k, which the sub-vanishing walk proves zero.
 
 Every proper subset of natural_k is a multiset of order below n_k, so the
 one pruned walk that proves the sub-vanishing statement proves them all:
@@ -90,7 +95,6 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
 
-from .polynomials import _det_bareiss
 from .schur import EXPANSION_GATE, _beads, _partition, _remove_rim_hooks, _tableaux
 from .schur import jacobi_trudi_value
 from .semigroup import CurveSignature, YoungDiagram, u_weights, young_diagram
@@ -258,61 +262,32 @@ def _prune(
     return kept
 
 
-def _skew_tableaux(mu: tuple[int, ...], nu: tuple[int, ...], n: int) -> int:
-    """f^(mu/nu) for nu inside mu, |mu/nu| = n, by Aitken's determinant
-    ``n! det[1/(mu_i - nu_j - i + j)!]`` with row i scaled by
-    ``(mu_i - i + rows - 1)!`` to integers (Stanley, *EC2* Cor. 7.16.3)."""
-    rows = len(mu)
-    nu = nu + (0,) * (rows - len(nu))
-    tops = [p - i + rows - 1 for i, p in enumerate(mu)]
-    matrix = [
-        [math.perm(top, top - a) if (a := p - i - nu[j] + j) >= 0 else 0 for j in range(rows)]
-        for i, (p, top) in enumerate(zip(mu, tops))
-    ]
-    scale = math.prod(math.factorial(top) for top in tops)
-    return math.factorial(n) * _det_bareiss(matrix) // scale
-
-
-def _sub_partitions(bound: tuple[int, ...], size: int):
-    """The partitions of ``size`` with nu_i <= bound_i (bound nonincreasing),
-    zeros dropped."""
-    if not size:
-        yield ()
-        return
-    for top in range(min(bound[0], size) if bound else 0, 0, -1):
-        rest = tuple(min(b, top) for b in bound[1:])
-        if top + sum(rest) < size:
-            break
-        for tail in _sub_partitions(rest, size - top):
-            yield (top,) + tail
-
-
 def _remove_boxes(state: dict[int, int], k: int, n: int) -> dict:
     """{nu: c} with l(nu) <= k of ``(p_1^perp)^n`` on a state whose terms have
     at most n boxes below row k: ``sum f^(mu/nu) s_nu`` over nu inside mu[:k].
 
     A term with exactly n boxes below row k has the one survivor mu[:k], with
-    f of its rows below k; the others also lose boxes from the top k rows.
+    f of its rows below k.  A short term, with fewer, gives up one box, since
+    ``(p_1^perp)^n = (p_1^perp)^(n-1) p_1^perp``, and the pass runs again on
+    what it leaves with n - 1; it stops once no term is short.
     """
     out: dict = {}
-    for mask, c in state.items():
-        mu = _partition(mask)
-        head, tail = mu[:k], mu[k:]
-        short = n - sum(tail)
-        if not short:
-            pairs = [(head, _tableaux(tail))]
-        else:
-            pairs = [
-                (nu, _skew_tableaux(mu, nu, n))
-                for nu in _sub_partitions(head, sum(head) - short)
-            ]
-        for nu, f in pairs:
-            total = out.get(nu, 0) + c * f
+    while True:
+        short = {}
+        for mask, c in state.items():
+            mu = _partition(mask)
+            if sum(mu[k:]) < n:
+                short[mask] = c
+                continue
+            head = mu[:k]
+            total = out.get(head, 0) + c * _tableaux(mu[k:])
             if total:
-                out[nu] = total
+                out[head] = total
             else:
-                del out[nu]
-    return out
+                del out[head]
+        if not short:
+            return out
+        state, n = _remove_rim_hooks(short, 1), n - 1
 
 
 @lru_cache(maxsize=4096)
@@ -321,8 +296,9 @@ def _survivors(sig: CurveSignature, k: int, index: tuple[int, ...]) -> dict:
 
     The largest hooks go first, and after each step only the terms that the
     remaining derivatives can still bring to length <= k are kept; the
-    closing run of u_g derivatives (hook 1) is then taken in one step.
-    Callers must not mutate the (cached) result.
+    closing run of u_g derivatives (hook 1) is then closed by counting
+    tableaux (:func:`_remove_boxes`).  Callers must not mutate the (cached)
+    result.
     """
     g = sig.genus
     hooks = u_weights(sig)

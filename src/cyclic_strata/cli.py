@@ -40,7 +40,7 @@ from .numerics import (
     mu_coeffs,
 )
 from .schur import EXPANSION_GATE, ExpansionLimitError, check_expansion_gate, schur_in_T
-from .semigroup import CurveSignature, monomial_basis, nongap_sequence, young_diagram
+from .semigroup import CurveSignature, YoungDiagram, monomial_basis, nongap_sequence, young_diagram
 from .strata import natural_k, stratum_table, truncate_upper
 
 EXIT_OK = 0
@@ -220,7 +220,9 @@ def cmd_schur(args) -> int:
         raise SystemExit2(f"k must lie in [0, {sig.genus}]")
     if k:  # every head but the empty one expands the full form
         check_expansion_gate(sig, args.max_expand_genus)
-    diagram = truncate_upper(young_diagram(sig), k)
+        diagram = truncate_upper(young_diagram(sig), k)
+    else:
+        diagram = YoungDiagram(())
     form = schur_in_T(diagram, sig, args.max_expand_genus)
     text = form.as_u.canonical_str()
     if args.format == "json":

@@ -411,12 +411,12 @@ def schur_in_T(
     :class:`ExpansionLimitError` when the genus exceeds ``max_expand_genus``.
     """
     parts = diagram.parts
+    if not parts:  # the empty head of every curve, built without the diagram
+        return SchurForm(diagram, SparsePolynomial.one("T"), SparsePolynomial.one("u"))
     lam = young_diagram(sig)
     k = len(parts)
     if parts != lam.parts and (k > sig.genus or parts != truncate_upper(lam, k).parts):
         raise ValueError("diagram must be the curve diagram or one of its head truncations")
-    if not parts:
-        return SchurForm(diagram, SparsePolynomial.one("T"), SparsePolynomial.one("u"))
     check_expansion_gate(sig, max_expand_genus)
     hooks = u_weights(sig)
     state = {_beads(sig): 1}

@@ -15,8 +15,10 @@ only at their dominant monomials and expand them by permutation.
 
 The box-by-box survivors remove every derivative's rim hooks in turn, the
 closing run of u_g derivatives one box at a time, and prune each state by the
-boxes below row k read off its partitions.  The production engine removes
-that run in one step and also prunes by empty bead positions.
+boxes below row k read off its partitions.  The production engine closes
+that run by counting the tableaux of each term's rows below k, peels a box
+only off a term with fewer boxes there than the run, and also prunes by empty
+bead positions.
 
 The box-by-box character form walks every branch of the Murnaghan-Nakayama
 expansion of the power-sum form, the u_g derivatives (hook 1) one box at a

@@ -305,6 +305,42 @@ def test_survivors_match_box_by_box_oracle():
                 assert _survivors(sig, k, index) == box_by_box_survivors(sig, k, index), (rs, k, index)
 
 
+def test_certified_runs_close_in_one_pass(monkeypatch):
+    # Every natural set, g-power trade and variant set of the curves with
+    # g <= 12 closes its u_g run without a peel.  The certifier's other
+    # hooks are >= 2, so a removal of size 1 can only come from the peel,
+    # which a pure chain longer than N_k does reach.
+    sizes = []
+    remove = certifier._remove_rim_hooks
+
+    def recording(state, m):
+        sizes.append(m)
+        return remove(state, m)
+
+    monkeypatch.setattr(certifier, "_remove_rim_hooks", recording)
+    closures = 0
+    for rs in coprime_signatures(25):
+        sig = CurveSignature(*rs)
+        g = sig.genus
+        if g > 12:
+            continue
+        for k in range(1, g):
+            nat = natural_k(sig, k)
+            indices = {tuple(sorted(nat))}
+            indices |= {g_power_index(sig, k, ell) for ell in range(1, len(nat) + 2)}
+            indices |= {tuple(sorted(natural_k_i(sig, k, i))) for i in range(1, k + 1)}
+            for index in indices:
+                _survivors.cache_clear()
+                _survivors(sig, k, index)
+                assert 1 not in sizes, (rs, k, index)
+                closures += 1
+    assert closures > 1000 and sizes
+    sig = CurveSignature(3, 5)
+    _survivors.cache_clear()
+    _survivors(sig, 1, (sig.genus,) * (sum(young_diagram(sig).parts[1:]) + 1))
+    assert 1 in sizes
+
+
 @lru_cache(maxsize=None)
 def corner_tableaux(shape):
     """Standard tableaux of a straight shape: the last box sits in a corner."""

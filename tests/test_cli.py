@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from conftest import read_golden
-from cyclic_strata import certifier, cli
+from cyclic_strata import certifier, cli, schur
 from cyclic_strata.certifier import CertificationError
 from cyclic_strata.numerics import CurveInstance, lift_points
 from cyclic_strata.semigroup import CurveSignature
@@ -238,6 +238,20 @@ def test_schur_command(capsys):
     code, out, _ = run_cli(capsys, "schur", "2", "7", "--format", "json")
     payload = json.loads(out)
     assert payload["k"] == 3 and payload["schur_u"].startswith("1/45*u3^6")
+
+
+def test_schur_k0_builds_no_diagram(capsys, monkeypatch):
+    # The empty head prints `1` at any genus without the curve diagram.
+    def unreachable(*args):
+        raise AssertionError("schur --k 0 built the curve diagram")
+
+    for module, name in [(cli, "young_diagram"), (cli, "truncate_upper"), (schur, "young_diagram")]:
+        monkeypatch.setattr(module, name, unreachable)
+    code, out, _ = run_cli(capsys, "schur", "2", "2000001", "--k", "0")
+    assert (code, out) == (0, "1\n")
+    code, out, _ = run_cli(capsys, "schur", "2", "2000001", "--k", "0", "--format", "json")
+    assert code == 0
+    assert out == '{\n  "r": 2,\n  "s": 2000001,\n  "k": 0,\n  "genus": 1000000,\n  "schur_u": "1"\n}\n'
 
 
 def test_schur_gate_exit_code(capsys):
