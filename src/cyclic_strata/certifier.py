@@ -47,9 +47,15 @@ and row i holds b - (g - i) boxes on its bead b, so the top k beads give the
 count.  A survivor l(nu) <= k has beads on all of positions 0..g-k-1, and a
 removal moves one bead onto one free position, so it fills at most one of
 them: a term with more empty positions there than derivatives still to come
-is dropped too.  Sweeps walk the nondecreasing index multisets depth first,
-hand each prefix state to its extensions, and count the extensions of a state
-pruned to nothing with a binomial coefficient instead of visiting them.
+is dropped too.
+
+The sweeps are proved by a count.  The beads of L sit on the gaps of the
+symmetric semigroup <r, s>, all below 2g, so positions 0..g-k-1 hold n_k
+holes, one per pole order there.  A multiset of order below n_k has n_k - 1
+moves to fill them, so the root is pruned to nothing and all such multisets
+vanish at once; the pure chains below N_k take off fewer than the N_k boxes
+the root has below row k.  Should the root survive, each multiset is read,
+shortest first, and the first survivor is the error.
 
 Every sorted index multiset ends in its run of N derivatives along u_g,
 whose hook is 1, and that run is closed without walking it box by box:
@@ -68,11 +74,11 @@ weight ``N_k = |L[k:]|``, and every term mu lies inside L and has
 ``|L| - N_k + N`` boxes, of which its top k rows keep at most ``|L[:k]|``:
 at least N lie below row k.  A variant set holds at most one u_g
 derivative, and a term short of it already has length <= k: it survives a
-multiset of order below n_k, which the sub-vanishing walk proves zero.
+multiset of order below n_k, which the hole count proves zero.
 
 Every proper subset of natural_k is a multiset of order below n_k, so the
-one pruned walk that proves the sub-vanishing statement proves them all:
-:func:`certify_natural` runs it once and builds only the full set's
+hole count that proves the sub-vanishing statement proves them all:
+:func:`certify_natural` makes it once and builds only the full set's
 certificate, and a bundle lists the 2^n_k - 1 zero certificates of the
 subsets each time its ``certificates`` are read.  Only the full set, the
 variant sets and the g-power trades read their own survivors.
@@ -93,7 +99,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations
+from itertools import combinations, combinations_with_replacement
 
 from .schur import EXPANSION_GATE, _beads, _partition, _remove_rim_hooks, _tableaux
 from .schur import jacobi_trudi_value
@@ -347,33 +353,25 @@ def _vanishing_walk(sig: CurveSignature, k: int, first: int, bound: int, trials,
     """Check that no nondecreasing multiset of indices in [first, g] of size
     below ``bound`` survives on level k; return how many multisets that is.
 
-    Depth first, each prefix state is carried to its extensions.  Indices
-    only grow along a branch, so with ``ahead`` derivatives left at most
-    ``ahead * hook(last)`` more boxes come off; a state pruned to nothing
-    vanishes with all its extensions, which are counted, not visited.
+    A multiset of order below ``bound`` removes at most ``bound - 1`` rim
+    hooks of at most ``hook(first)`` boxes each, so when the root is pruned
+    to nothing under those two bounds every such multiset vanishes.  If it is
+    not, each multiset is read, shortest first, and the first survivor is the
+    error.
     """
     g = sig.genus
-    hooks = u_weights(sig)
-    checked = 0
-
-    def visit(state, size, index, last):
-        nonlocal checked
-        ahead = bound - 1 - len(index)
-        state = _prune(state, g, k, size, ahead * hooks[last - 1], ahead)
-        if not state:
-            checked += math.comb(g - last + 1 + ahead, ahead)
-            return
-        survivors = {_partition(mask): c for mask, c in _prune(state, g, k, size, 0, 0).items()}
-        if survivors:
-            raise _vanishing_failure(sig, k, index, survivors, trials, seed)
-        checked += 1
-        for j in range(last, g + 1):
-            m = hooks[j - 1]
-            visit(_remove_rim_hooks(state, m), size - m, index + (j,), j)
-
-    if bound > 0:
-        visit({_beads(sig): 1}, sig.diagram_weight(), (), first)
-    return checked
+    if bound <= 0:
+        return 0
+    count = math.comb(g - first + bound, bound - 1)
+    budget = (bound - 1) * u_weights(sig)[first - 1]
+    if not _prune({_beads(sig): 1}, g, k, sig.diagram_weight(), budget, bound - 1):
+        return count
+    for order in range(bound):
+        for index in combinations_with_replacement(range(first, g + 1), order):
+            survivors = _survivors(sig, k, index)
+            if survivors:
+                raise _vanishing_failure(sig, k, index, survivors, trials, seed)
+    return count
 
 
 def _mode(sig: CurveSignature) -> str:
@@ -426,8 +424,9 @@ def certify_natural(
 
     For the canonical set: every proper subset yields zero identically, and
     the full set yields sign * (head Schur polynomial) with |sign| = 1.  The
-    subsets have order below n_k, so one sweep of all such multisets proves
-    them (its first survivor is the error); the bundle keeps only the full
+    subsets have order below n_k, so the root's n_k bead holes prove them
+    with every other such multiset (should the count fail, the first
+    survivor, shortest first, is the error); the bundle keeps only the full
     set's certificate and lists the subsets' zero certificates when read.  For
     a variant set only non-vanishing is certified (its ratio to the head
     polynomial is a non-constant function of the point).

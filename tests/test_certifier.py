@@ -3,6 +3,7 @@ import random
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, combinations_with_replacement
+from math import comb
 from math import prod
 
 import pytest
@@ -10,6 +11,7 @@ import pytest
 from conftest import coprime_signatures
 from oracles import box_by_box_survivors, determinant_power_sum_form
 from cyclic_strata import certifier
+from cyclic_strata import cli
 from cyclic_strata.certifier import (
     CertificateBundle,
     CertificationError,
@@ -29,8 +31,10 @@ from cyclic_strata.certifier import (
     trial_points,
 )
 from cyclic_strata.polynomials import SparsePolynomial
+from cyclic_strata.schur import _tableaux
 from cyclic_strata.schur import schur_bialternant
 from cyclic_strata.semigroup import CurveSignature, YoungDiagram, u_weights, young_diagram
+from cyclic_strata.strata import FrobeniusCharacteristics, stratum_table
 from cyclic_strata.strata import natural_k, natural_k_i
 
 
@@ -561,6 +565,62 @@ def test_sweep():
     report29 = sub_vanishing_sweep(CurveSignature(2, 9), 1)
     assert report29.order_bound == 2
     assert report29.checked == 1 + 4
+
+
+def curves_within_the_certify_cap():
+    """Every coprime curve with 2 <= g <= cli.CERTIFY_MAX_GENUS."""
+    cap = cli.CERTIFY_MAX_GENUS
+    curves = [CurveSignature(*rs) for rs in coprime_signatures(2 * cap + 1)]
+    return [sig for sig in curves if 2 <= sig.genus <= cap]
+
+
+def test_vanishing_is_proved_by_counting_bead_holes(monkeypatch):
+    # The root's positions 0..g-k-1 hold n_k holes, one per pole order below
+    # g - k, so the sweep's n_k - 1 moves cannot fill them; the pure chain's
+    # N_k - 1 boxes cannot clear the N_k below row k.  Either way one _prune
+    # of the root settles the walk, and no multiset is read.
+    prunes = []
+    prune = certifier._prune
+
+    def counting(*args):
+        prunes.append(args)
+        return prune(*args)
+
+    def unreachable(*args):
+        raise AssertionError("the count left a multiset to read")
+
+    monkeypatch.setattr(certifier, "_prune", counting)
+    monkeypatch.setattr(certifier, "_survivors", unreachable)
+    curves = curves_within_the_certify_cap()
+    levels = 0
+    for sig in curves:
+        g = sig.genus
+        root = _beads(sig)
+        for profile in stratum_table(sig)[1:g]:
+            k, n, total = profile.k, profile.n_k, profile.N_k
+            assert g - k - (root & ((1 << (g - k)) - 1)).bit_count() == n, (sig, k)
+            for first, bound in [(1, n), (g, total)]:
+                prunes.clear()
+                assert _vanishing_walk(sig, k, first, bound, 1, 0) == comb(g - first + bound, bound - 1)
+                assert len(prunes) == 1, (sig, k, first)
+            levels += 1
+    assert (len(curves), levels) == (93, 1862)
+
+
+def test_g_power_constants_are_the_inner_hooks_tableaux():
+    # c_ell = (-1)^(a_ell + ... + a_n) f^(a_1..a_(ell-1) | b_1..b_(ell-1)):
+    # the trade's constant removes the tail's n_k - ell + 1 outer diagonal
+    # hooks, with sign from their legs, and counts the tableaux of the rest.
+    trades = 0
+    for sig in curves_within_the_certify_cap():
+        for profile in stratum_table(sig)[1:sig.genus]:
+            a, b = profile.chars.a, profile.chars.b
+            for ell in range(1, profile.n_k + 2):
+                inner = FrobeniusCharacteristics(a[:ell - 1], b[:ell - 1]).to_diagram().parts
+                expected = (-1) ** sum(a[ell - 1:]) * _tableaux(inner)
+                assert certify_g_power(sig, profile.k, ell).constant == expected, (sig, profile.k, ell)
+                trades += 1
+    assert trades == 10932
 
 
 def test_certificate_json():
