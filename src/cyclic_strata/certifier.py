@@ -100,6 +100,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, combinations_with_replacement
+from typing import Iterator
 
 from .schur import EXPANSION_GATE, _beads, _partition, _remove_rim_hooks, _tableaux
 from .schur import jacobi_trudi_value
@@ -176,16 +177,19 @@ class CertificateBundle:
 
     @property
     def certificates(self) -> tuple[DerivativeCertificate, ...]:
-        if self.index_set != natural_k(self.signature, self.k):
-            return (self.main,)
-        zeros = (
-            DerivativeCertificate(self.k, subset[::-1], "zero", None, self.mode, self.trials)
-            for size in range(len(self.index_set))
-            for subset in combinations(self.index_set, size)
-        )
-        return (*zeros, self.main)
+        return tuple(self.iter_certificates())
 
-    def to_json_dict(self) -> dict:
+    def iter_certificates(self) -> Iterator[DerivativeCertificate]:
+        """The ``certificates`` one at a time, none of them held."""
+        if self.index_set == natural_k(self.signature, self.k):
+            for size in range(len(self.index_set)):
+                for subset in combinations(self.index_set, size):
+                    yield DerivativeCertificate(self.k, subset[::-1], "zero", None, self.mode, self.trials)
+        yield self.main
+
+    def json_head(self) -> dict:
+        """``to_json_dict`` up to its last key, ``certificates``, for a writer
+        that streams them."""
         return {
             "r": self.signature.r,
             "s": self.signature.s,
@@ -193,8 +197,10 @@ class CertificateBundle:
             "index_set": list(self.index_set),
             "mode": self.mode,
             "trials": self.trials,
-            "certificates": [c.to_json_dict() for c in self.certificates],
         }
+
+    def to_json_dict(self) -> dict:
+        return {**self.json_head(), "certificates": [c.to_json_dict() for c in self.iter_certificates()]}
 
 
 @dataclass(frozen=True)

@@ -23,6 +23,7 @@ import io
 import json
 import math
 import sys
+from collections.abc import Iterator
 from functools import lru_cache
 from json.encoder import encode_basestring_ascii
 
@@ -97,6 +98,29 @@ def _json_text(value, indent: str = "\n") -> str:
     if kind is float or kind is bool:  # the C encoder: float repr, NaN, Infinity, true, false
         return json.dumps(value)
     raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
+
+
+def _write_json(value, indent: str) -> None:
+    """Write ``_json_text(value, indent)`` to stdout, a dict one key at a time
+    and an iterator, as a JSON array, one item at a time, so that no
+    iterator is held whole."""
+    write = sys.stdout.write
+    inner = indent + "  "
+    if isinstance(value, Iterator):
+        sep = "["
+        for item in value:
+            write(sep + inner + _json_text(item, inner))
+            sep = ","
+        write("[]" if sep == "[" else indent + "]")
+    elif type(value) is dict and value:
+        sep = "{"
+        for key, item in value.items():
+            write(sep + inner + encode_basestring_ascii(key) + ": ")
+            _write_json(item, inner)
+            sep = ","
+        write(indent + "}")
+    else:
+        write(_json_text(value, indent))
 
 
 def _ints(values) -> str:
@@ -254,11 +278,13 @@ def cmd_certify(args) -> int:
         ]
         results.append((bundle, sweep, powers))
     if args.format == "json":
-        # One level at a time, so only one level's dicts and text are held.
+        # Each certificate is written as soon as it is listed, so none is held.
         for i, (bundle, sweep, powers) in enumerate(results):
-            level = {"natural": bundle.to_json_dict(), "sweep": sweep.to_json_dict(),
-                     "g_power": [c.to_json_dict() for c in powers]}
-            sys.stdout.write(("," if i else "[") + "\n  " + _json_text(level, "\n  "))
+            sys.stdout.write(("," if i else "[") + "\n  ")
+            _write_json({"natural": {**bundle.json_head(),
+                                     "certificates": (c.to_json_dict() for c in bundle.iter_certificates())},
+                         "sweep": sweep.to_json_dict(),
+                         "g_power": [c.to_json_dict() for c in powers]}, "\n  ")
         sys.stdout.write("\n]\n")
         return EXIT_OK
     header = ["k", "index_set", "verdict", "constant", "mode", "sweep_checked"]

@@ -16,16 +16,21 @@ degrade quickly for clustered points.
 
 Repeated points (confluent limits) are intentionally not supported: inputs
 must be pairwise distinct.
+
+numpy is imported by the functions that compute with it, so importing this
+module (as the package and its CLI do) does not load it.
 """
 
 from __future__ import annotations
 
 import cmath
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .semigroup import CurveSignature, monomial_basis
+
+if TYPE_CHECKING:
+    import numpy as np
 
 ON_CURVE_TOL = 1e-10
 ZERO_TOL = 1e-9
@@ -101,6 +106,8 @@ def lift_points(curve: CurveInstance, xs, branch: int) -> list[AffinePoint]:
 
 
 def _phi_values(curve: CurveInstance, points, count: int) -> np.ndarray:
+    import numpy as np
+
     basis = monomial_basis(curve.signature, count)
     matrix = np.empty((len(points), count), dtype=complex)
     for i, p in enumerate(points):
@@ -115,6 +122,8 @@ def fs_matrix(curve: CurveInstance, points) -> np.ndarray:
 
 
 def fs_det(curve: CurveInstance, points) -> complex:
+    import numpy as np
+
     if not points:
         raise ValueError("need at least one point")
     return complex(np.linalg.det(fs_matrix(curve, points)))
@@ -150,6 +159,8 @@ class MuCoefficients:
 
 def mu_coeffs(curve: CurveInstance, points) -> MuCoefficients:
     """Solve for the interpolation coefficients at n distinct points."""
+    import numpy as np
+
     n = len(points)
     if n < 1:
         raise ValueError("need at least one point")

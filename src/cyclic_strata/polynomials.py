@@ -94,6 +94,11 @@ products (2 cores, Python 3.11): packed won 10 of 11 products of 1,500-2,000
 pairs, and the paths tied below; on the fused ``routes`` sums it won 5 of 9
 sums of 1,500-3,000 pairs and 42 of 49 larger ones.
 
+numpy is imported inside the functions that use it, so a process that never
+reaches a packed kernel, :func:`_expand_dominant` or the difference division
+never loads it: ``cyclic-strata certify 3 7`` runs in about 100 ms and 17 MB
+instead of 165 ms and 30 MB (2 cores, Python 3.11).
+
 Sums known to be symmetric
 --------------------------
 :func:`_symmetric_sum_of_products` is for a sum that the caller knows to be
@@ -138,9 +143,10 @@ from itertools import combinations, groupby
 from math import prod
 from operator import or_
 from types import MappingProxyType
-from typing import Iterable, Mapping, Union
+from typing import TYPE_CHECKING, Iterable, Mapping, Union
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 Coeff = Union[int, Fraction]
 
@@ -183,7 +189,6 @@ _FIELD = (1 << _BITS) - 1
 _MAX_EXP = (1 << (_BITS - 1)) - 1
 _VECTOR_CUTOFF = 1_500
 _BLOCK_PAIRS = 1 << 18
-_FIELD_SHIFTS = np.arange(0, 60, _BITS, dtype=np.int64)
 _CHUNK = (1 << 60) - 1  # six fields
 
 
@@ -218,21 +223,33 @@ def _guard_mask(key: int) -> int:
     return ((1 << (_BITS * _fields(key))) - 1) // _FIELD << (_BITS - 1)
 
 
+@lru_cache(maxsize=1)
+def _field_shifts() -> np.ndarray:
+    """The shifts of the six fields of a 60-bit chunk."""
+    import numpy as np
+
+    shifts = np.arange(0, 60, _BITS, dtype=np.int64)
+    shifts.flags.writeable = False  # cached, and shared by every caller
+    return shifts
+
+
 def _exponents(keys, nvars: int) -> np.ndarray:
     """The ``len(keys) x nvars`` int64 exponent matrix of the keys."""
+    import numpy as np
+
     if nvars <= 6:
         chunks = [np.fromiter(keys, np.int64, len(keys))]
     else:
         # six fields (60 bits) at a time, so that every chunk fits an int64
         chunks = [np.fromiter((k >> (_BITS * lo) & _CHUNK for k in keys), np.int64, len(keys))
                   for lo in range(0, nvars, 6)]
-    return np.hstack([(c[:, None] >> _FIELD_SHIFTS) & _FIELD for c in chunks])[:, :nvars]
+    return np.hstack([(c[:, None] >> _field_shifts()) & _FIELD for c in chunks])[:, :nvars]
 
 
 def _keys(exps: np.ndarray) -> list[int]:
     """The keys of the rows of an int64 exponent matrix: ``_exponents``
     inverted."""
-    chunks = [(exps[:, lo:lo + 6] << _FIELD_SHIFTS[:exps.shape[1] - lo]).sum(axis=1).tolist()
+    chunks = [(exps[:, lo:lo + 6] << _field_shifts()[:exps.shape[1] - lo]).sum(axis=1).tolist()
               for lo in range(0, exps.shape[1], 6)]
     keys = chunks.pop()
     while chunks:
@@ -258,6 +275,8 @@ def _vectorizable(pieces: list):
     for the dict loop."""
     if sum(len(t1) * len(t2) for _, t1, t2 in pieces) < _VECTOR_CUTOFF:
         return None
+    import numpy as np
+
     bias = merged = top_key = 0
     for _, t1, t2 in pieces:
         for t in (t1, t2):
@@ -285,11 +304,15 @@ def _vectorizable(pieces: list):
 
 def _reduce_runs(index, values):
     """Sum ``values`` over each run of equal entries of the sorted ``index``."""
+    import numpy as np
+
     starts = np.concatenate(([0], np.flatnonzero(index[1:] != index[:-1]) + 1))
     return index[starts], np.add.reduceat(values, starts)
 
 
 def _sum_vectorized(pieces: list, layout) -> dict:
+    import numpy as np
+
     exps, radii, shift, bias = layout
     strides = np.cumprod([1] + radii[:-1], dtype=np.int64)
     indices, sums = [], []
@@ -403,6 +426,8 @@ def _targeted_layout(pieces: list, targets: list):
 
 
 def _sum_at_vectorized(pieces: list, targets: list, layout) -> dict:
+    import numpy as np
+
     nvars, width = layout
     # Repacked keys: ``width``-bit fields whose top bit is a guard, as in
     # _sum_at_dict, so t - m clears a field's guard bit exactly when m
@@ -493,6 +518,8 @@ def _arrangements(runs: tuple[int, ...]) -> np.ndarray:
     """The distinct arrangements of runs of equal exponents, of lengths
     ``runs``, on variables 1..sum(runs): one row per arrangement, holding
     the run index at each variable."""
+    import numpy as np
+
     n = sum(runs)
     rows = np.zeros((1, n), np.intp)  # run 0 takes the variables left over
     free = np.arange(n)[None, :]
@@ -513,6 +540,8 @@ def _expand_dominant(form: "SparsePolynomial", nvars: int) -> "SparsePolynomial"
     """The symmetric polynomial in variables 1..nvars whose terms at
     nonincreasing exponent vectors are the terms of ``form``: each
     coefficient goes to every distinct permutation of its exponent vector."""
+    import numpy as np
+
     orbits: dict[tuple[int, ...], list] = {}
     for key, c in form._terms.items():
         exps = [(key >> (_BITS * v)) & _FIELD for v in range(nvars)]
@@ -803,6 +832,8 @@ def _divide_difference(terms: dict, a: int, b: int) -> dict:
     either is a Python-object array otherwise, which numpy sums and sorts
     exactly.
     """
+    import numpy as np
+
     used = reduce(or_, terms, 1 << (_BITS * a) | 1 << (_BITS * b))
     nvars = _fields(used)
     # one field per variable, wide enough for e_a + e_b

@@ -1,4 +1,6 @@
 import argparse
+import contextlib
+import io
 import json
 import re
 import time
@@ -12,6 +14,7 @@ from cyclic_strata import certifier, cli, schur
 from cyclic_strata.certifier import CertificationError
 from cyclic_strata.numerics import CurveInstance, lift_points
 from cyclic_strata.semigroup import CurveSignature
+from cyclic_strata.strata import n_k
 
 
 def subcommand_parsers() -> dict[str, argparse.ArgumentParser]:
@@ -170,6 +173,26 @@ def test_certify_csv_builds_no_zero_certificate(capsys, monkeypatch):
     code, out, _ = run_cli(capsys, "certify", "2", "21", "--format", "csv")
     assert code == 0 and out.startswith("k,index_set,verdict")
     assert verdicts and "zero" not in verdicts
+
+
+def test_certify_json_writes_each_certificate_as_it_is_listed(capsys, monkeypatch):
+    original = certifier.DerivativeCertificate
+    out, zeros = [], []
+
+    def listing(*args):
+        if args[2] == "zero":
+            out.append(capsys.readouterr().out)
+            # every zero certificate listed before this one is written already
+            assert sum(text.count('"verdict": "zero"') for text in out) == len(zeros)
+            zeros.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(certifier, "DerivativeCertificate", listing)
+    code = cli.main(["certify", "3", "7", "--format", "json"])
+    out.append(capsys.readouterr().out)
+    assert code == 0 and "".join(out) == read_golden("certify_3_7.json")
+    sig = CurveSignature(3, 7)
+    assert len(zeros) == sum(2 ** n_k(sig, k) - 1 for k in range(1, sig.genus))
 
 
 @pytest.mark.parametrize("r, s", [(7, 9), (5, 13)])
@@ -500,6 +523,24 @@ JSON_VALUES = st.recursive(
 @example([float("nan"), float("inf"), -float("inf"), -0.0, 1e-300])
 def test_json_text_is_json_dumps_indent_2(value):
     assert cli._json_text(value) == json.dumps(value, indent=2)
+
+
+def streamed(value):
+    """``value`` with each list or tuple that is the whole or a dict's value
+    turned into an iterator, as ``cmd_certify`` hands its certificates over."""
+    if type(value) is dict:
+        return {key: streamed(item) for key, item in value.items()}
+    return iter(value) if type(value) in (list, tuple) else value
+
+
+@settings(max_examples=200, deadline=None)
+@given(JSON_VALUES)
+@example({"a": [], "b": {"c": ()}, "d": {}, "e": [{"f": [1]}]})
+def test_write_json_streams_the_text_of_json_text(value):
+    for indent in ("\n", "\n    "):
+        with contextlib.redirect_stdout(io.StringIO()) as out:
+            cli._write_json(streamed(value), indent)
+        assert out.getvalue() == cli._json_text(value, indent)
 
 
 @pytest.mark.parametrize("value", [{1: 2}, {"a": {None: 1}}, [{(1,): 2}], {1.5}, [b"x"],
