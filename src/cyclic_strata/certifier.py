@@ -99,19 +99,13 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations, combinations_with_replacement
+from itertools import combinations, combinations_with_replacement, groupby
 from typing import Iterator
 
 from .schur import EXPANSION_GATE, _beads, _partition, _remove_rim_hooks, _tableaux
 from .schur import jacobi_trudi_value
 from .semigroup import CurveSignature, YoungDiagram, u_weights, young_diagram
-from .strata import (
-    InternalConsistencyError,
-    characteristics,
-    natural_k,
-    truncate_lower,
-    truncate_upper,
-)
+from .strata import InternalConsistencyError, natural_k, stratum_table
 
 ENGINE = "rimhook"
 
@@ -358,6 +352,7 @@ def _vanishing_failure(sig, k, index, survivors, trials, seed) -> CertificationE
 def _vanishing_walk(sig: CurveSignature, k: int, first: int, bound: int, trials, seed) -> int:
     """Check that no nondecreasing multiset of indices in [first, g] of size
     below ``bound`` survives on level k; return how many multisets that is.
+    ``bound`` is n_k or N_k, both at least 1 on every level 1 <= k < g.
 
     A multiset of order below ``bound`` removes at most ``bound - 1`` rim
     hooks of at most ``hook(first)`` boxes each, so when the root is pruned
@@ -366,8 +361,6 @@ def _vanishing_walk(sig: CurveSignature, k: int, first: int, bound: int, trials,
     error.
     """
     g = sig.genus
-    if bound <= 0:
-        return 0
     count = math.comb(g - first + bound, bound - 1)
     budget = (bound - 1) * u_weights(sig)[first - 1]
     if not _prune({_beads(sig): 1}, g, k, sig.diagram_weight(), budget, bound - 1):
@@ -390,8 +383,7 @@ def _constant_multiple_certificate(
     """Certify that the index derivative is a fixed nonzero multiple of the
     head Schur polynomial: its only survivor is the head diagram."""
     survivors = _survivors(sig, k, index)
-    head = truncate_upper(young_diagram(sig), k).parts
-    constant = Fraction(survivors.get(head, 0))
+    constant = Fraction(survivors.get(young_diagram(sig).parts[:k], 0))
     if not constant or len(survivors) > 1:
         raise CertificationError(
             f"derivative {index} on level {k} of ({sig.r},{sig.s}) is not a "
@@ -517,35 +509,33 @@ def build_hierarchy(sig: CurveSignature, k: int) -> HookHierarchy:
     equivalently it is the layout of the tail with its first m-1 hooks
     stripped.  The corner subscripts recover the characteristic hooks and
     the count of zero subscripts in the outer block is g - k - n_k.
+
+    The level's profile in :func:`~cyclic_strata.strata.stratum_table` gives
+    the column lengths ``c_m = m + a_m`` from its legs ``chars.a`` (listed
+    from the bottom of the diagonal, so read reversed) and the rank n_k;
+    the tail's rows are the curve diagram's rows below row k.
     """
     g = sig.genus
     if not 0 <= k < g:
         raise ValueError(f"k must lie in [0, {g}), got {k}")
-    tail = truncate_lower(young_diagram(sig), k)
-    conj = tail.conjugate().parts
-    rank = characteristics(tail).rank
-    matrices = []
-    for m in range(1, rank + 1):
-        c = conj[m - 1]
-        width = c - m + 1
-        block = tuple(
-            tuple(
-                (tail.part(i) + j - i) if tail.part(i) + j - i >= 0 else None
-                for j in range(1, width + 1)
-            )
+    profile = stratum_table(sig)[k]
+    rows = young_diagram(sig).parts[k:]
+    columns = [m + a for m, a in enumerate(reversed(profile.chars.a), start=1)]
+    matrices = tuple(
+        tuple(
+            tuple(rows[i - 1] + j - i if rows[i - 1] + j - i >= 0 else None
+                  for j in range(1, c - m + 2))
             for i in range(m, c + 1)
         )
-        matrices.append(block)
-    pairs = []
-    m = 1
-    while m <= rank:
-        run = 1
-        while m + run <= rank and conj[m + run - 1] == conj[m - 1]:
-            run += 1
-        pairs.append((k + conj[m - 1] - m + 1, run))
-        m += run
-    hierarchy = HookHierarchy(k, tuple(pairs), tuple(matrices))
-    expected_zeros = g - k - rank
+        for m, c in enumerate(columns, start=1)
+    )
+    pairs, m = [], 1
+    for c, run in groupby(columns):
+        size = len(list(run))
+        pairs.append((k + c - m + 1, size))
+        m += size
+    hierarchy = HookHierarchy(k, tuple(pairs), matrices)
+    expected_zeros = g - k - profile.n_k
     if hierarchy.h_zero_count() != expected_zeros:
         raise InternalConsistencyError(
             f"outer block of ({sig.r},{sig.s}) level {k} has "

@@ -211,8 +211,6 @@ def cmd_natural(args) -> int:
             sigs.append(_table_signature(r, s))
         except SystemExit2 as exc:
             raise SystemExit2(f"bad signature {token!r}: {exc}")
-    if not sigs:
-        raise SystemExit2("need at least one r,s signature")
     width = max(sig.genus - 1 for sig in sigs)
     tables = [stratum_table(sig) for sig in sigs]
     if args.format == "json":

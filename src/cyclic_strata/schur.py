@@ -69,15 +69,18 @@ k-variable Schur polynomial of the truncated diagram.
 Large genus
 -----------
 :func:`schur_in_T` expands the power-sum form up to genus ``EXPANSION_GATE``
-unless ``max_expand_genus`` raises the gate.  The gate only bounds the size of
-the expanded form: the walk is cheap, and ``SchurForm.as_t`` builds the
-``t``-form only when it is read.  The certifier labels its exact
-certificates ``"expanded"`` at genus <= ``EXPANSION_GATE`` and ``"sampled"``
-above it.  Above the gate the ``*_value`` functions evaluate each route
-exactly at rational points, which is how route agreement is checked for e.g.
-(5, 7) at genus 12.  They take the point times the lcm D of its
-denominators, so the h-tables, the alternant and Bareiss run in ``int``, and
-divide by ``D^|L|`` once at the end.  A point needs exactly g coordinates.
+unless ``max_expand_genus`` raises the gate.  The gate bounds the expanded form
+and the walk that builds it, which grows with it: ``schur 2 21
+--max-expand-genus 10`` takes about 1.9 s for 4,114 terms, in a walk over
+about 193,000 states whose tableau counts mostly miss their cache.
+``SchurForm.as_t`` builds the ``t``-form only when it is read.  The certifier
+labels its exact certificates ``"expanded"`` at genus <= ``EXPANSION_GATE``
+and ``"sampled"`` above it.  Above the gate the ``*_value`` functions
+evaluate each route exactly at rational points, which is how route agreement
+is checked for e.g. (5, 7) at genus 12.  They take the point times the lcm
+D of its denominators, so the h-tables, the alternant and Bareiss run in
+``int``, and divide by ``D^|L|`` once at the end.  A point needs exactly g
+coordinates.
 """
 
 from __future__ import annotations
@@ -99,7 +102,7 @@ from .polynomials import (
     exact_divide,
 )
 from .semigroup import CurveSignature, YoungDiagram, u_weights, young_diagram
-from .strata import InternalConsistencyError, natural_k, truncate_upper
+from .strata import InternalConsistencyError, natural_k
 
 
 EXPANSION_GATE = 6  # default genus gate of symbolic expansion
@@ -415,7 +418,7 @@ def schur_in_T(
         return SchurForm(diagram, SparsePolynomial.one("T"), SparsePolynomial.one("u"))
     lam = young_diagram(sig)
     k = len(parts)
-    if parts != lam.parts and (k > sig.genus or parts != truncate_upper(lam, k).parts):
+    if parts != lam.parts[:k]:
         raise ValueError("diagram must be the curve diagram or one of its head truncations")
     check_expansion_gate(sig, max_expand_genus)
     hooks = u_weights(sig)

@@ -25,6 +25,11 @@ expansion of the power-sum form, the u_g derivatives (hook 1) one box at a
 time, and reads chi off the empty partition.  The production walk closes each
 run of u_g derivatives in one step with the hook-length formula.
 
+The tail hierarchy rebuilds the tail diagram, its conjugate and its
+characteristics to lay out the nested blocks of one level.  The production
+``build_hierarchy`` reads the column lengths and the rank off the curve's
+stratum table and the rows off the curve diagram.
+
 The per-level profile builds one level of the stratum table from scratch
 with the public per-level functions: the tail diagram's characteristics, the
 counts over the pole orders and a hook-to-row dictionary.  The production
@@ -37,6 +42,7 @@ from functools import lru_cache
 from itertools import combinations
 from math import factorial, prod
 
+from cyclic_strata.certifier import HookHierarchy
 from cyclic_strata.polynomials import MultiIndex, SparsePolynomial, _sum_of_products, det
 from cyclic_strata.schur import (
     SymmetricWindow,
@@ -189,3 +195,31 @@ def per_level_profile(sig: CurveSignature, k: int) -> StratumProfile:
     assert len(m_plus) == len(m_minus) == count, (sig, k)
     assert count + sum(m_plus) + sum(m_minus) == total, (sig, k)
     return StratumProfile(k, count, total, chars, natural, m_plus, m_minus)
+
+
+def tail_hierarchy(sig: CurveSignature, k: int) -> HookHierarchy:
+    """The level-k hierarchy, laid out from the rebuilt tail diagram."""
+    tail = truncate_lower(young_diagram(sig), k)
+    conj = tail.conjugate().parts
+    rank = characteristics(tail).rank
+    matrices = []
+    for m in range(1, rank + 1):
+        c = conj[m - 1]
+        width = c - m + 1
+        block = tuple(
+            tuple(
+                (tail.part(i) + j - i) if tail.part(i) + j - i >= 0 else None
+                for j in range(1, width + 1)
+            )
+            for i in range(m, c + 1)
+        )
+        matrices.append(block)
+    pairs = []
+    m = 1
+    while m <= rank:
+        run = 1
+        while m + run <= rank and conj[m + run - 1] == conj[m - 1]:
+            run += 1
+        pairs.append((k + conj[m - 1] - m + 1, run))
+        m += run
+    return HookHierarchy(k, tuple(pairs), tuple(matrices))

@@ -9,7 +9,7 @@ from math import prod
 import pytest
 
 from conftest import coprime_signatures
-from oracles import box_by_box_survivors, determinant_power_sum_form
+from oracles import box_by_box_survivors, determinant_power_sum_form, tail_hierarchy
 from cyclic_strata import certifier
 from cyclic_strata import cli
 from cyclic_strata.certifier import (
@@ -401,6 +401,12 @@ def test_certifiers_reject_bad_trials_and_seed():
                 run(**settings)
 
 
+@pytest.mark.parametrize("k", [0, 3])
+def test_certify_natural_rejects_a_level_outside_1_to_g(k):
+    with pytest.raises(ValueError, match=r"k must lie in \[1, 3\)"):
+        certify_natural(CurveSignature(2, 7), k)
+
+
 def test_certify_natural_small():
     bundle = certify_natural(CurveSignature(2, 9), 1)
     assert bundle.main.verdict == "nonzero"
@@ -662,6 +668,17 @@ def test_hierarchy_3_7_level_2():
         (2, 3, 4, 5), (1, 2, 3, 4), (None, 0, 1, 2), (None, None, 0, 1)
     )
     assert h.matrices[1] == ((1,),)
+
+
+def test_hierarchy_matches_the_rebuilt_tail():
+    # Every level 0 <= k < g of the 64 coprime curves with s <= 16: 2,018 levels.
+    levels = 0
+    for rs in coprime_signatures(16):
+        sig = CurveSignature(*rs)
+        for k in range(sig.genus):
+            assert build_hierarchy(sig, k) == tail_hierarchy(sig, k), (rs, k)
+            levels += 1
+    assert levels == 2018
 
 
 def test_hierarchy_invariants():

@@ -235,6 +235,13 @@ def test_natural_rejects_a_token_that_is_not_r_s(capsys, token):
     assert code == 2 and err == "error: bad signature '2,4': require gcd(r, s) = 1, got (2, 4)\n"
 
 
+def test_natural_needs_a_signature():
+    # nargs="+" lets argparse exit before the handler runs.
+    with pytest.raises(SystemExit) as info:
+        cli.main(["natural"])
+    assert info.value.code == 2
+
+
 def test_strata_json_roundtrip(capsys):
     code, out, _ = run_cli(capsys, "strata", "3", "4", "--format", "json")
     assert code == 0
@@ -286,6 +293,18 @@ def test_schur_gate_exit_code(capsys):
     assert code == 2 and err.endswith("(--max-expand-genus on the command line)\n")
     code, out, _ = run_cli(capsys, "schur", "2", "15", "--max-expand-genus", "7")
     assert code == 0 and out.startswith("1/")
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("schur", "3", "7", "--k", "7"), "k must lie in [0, 6]"),
+    (("schur", "3", "7", "--k", "-1"), "k must lie in [0, 6]"),
+    (("certify", "1", "2"), "certification needs genus >= 2"),
+    (("certify", "2", "3"), "certification needs genus >= 2"),
+    (("certify", "3", "7", "--k", "0"), "k must lie in [1, 6)"),
+    (("certify", "3", "7", "--k", "6"), "k must lie in [1, 6)"),
+])
+def test_schur_and_certify_reject_a_level_or_genus_out_of_range(capsys, argv, message):
+    assert run_cli(capsys, *argv) == (2, "", f"error: {message}\n")
 
 
 def test_invalid_signature_exit_code(capsys):
@@ -425,6 +444,16 @@ def test_mu_command(capsys, tmp_path):
     assert abs(payload["coefficients"][0][0] - 0.52) < 1e-12
     assert abs(payload["coefficients"][1][0] - 1.7) < 1e-12
     assert max(payload["residuals"]) <= 1e-9
+
+
+def test_mu_residual_above_tol_exits_4_after_printing(capsys, tmp_path):
+    # Three points on the genus-2 curve: the residuals are rounding-sized, not 0.
+    curve_path, points_path = write_curve_files(tmp_path, xs=(0.4, 1.3, 2.2))
+    code, out, err = run_cli(capsys, "mu", "--curve", str(curve_path),
+                             "--points", str(points_path), "--tol", "0")
+    assert code == 4
+    assert err == "tolerance failure: interpolation residual too large\n"
+    assert json.loads(out)["n"] == 3  # the result is still printed
 
 
 def test_mu_off_curve_exit_code(capsys, tmp_path):
