@@ -17,7 +17,10 @@ to ``u_i = (1/hook_i) (t_1^hook_i + ... + t_k^hook_i)`` for k free parameters
   product of hook-indexed power sums in any Schur polynomial is a unit,
   since the principal-hook character value is +/-1 and the cycle-type
   normalizer cancels the power-sum scaling), and the variant sets
-  natural_k^(i) are likewise non-vanishing;
+  natural_k^(i) are likewise non-vanishing.  The tests also predict it:
+  ``test_g_power_constants_are_the_inner_hooks_tableaux`` checks the
+  constant of every g-power trade with g <= 36 (the natural set is the
+  first) against one computed from the tail's diagonal hooks;
 * trading the members of natural_k for powers of the last derivative
   (weight-preserving, one hook each) keeps the value a fixed nonzero
   rational multiple of the head Schur polynomial, down to the pure case of

@@ -33,7 +33,6 @@ if TYPE_CHECKING:
     import numpy as np
 
 ON_CURVE_TOL = 1e-10
-ZERO_TOL = 1e-9
 SPECIAL_TOL = 1e-12
 
 

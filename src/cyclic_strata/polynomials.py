@@ -387,8 +387,6 @@ def _sum_of_products(family: str, pieces) -> "SparsePolynomial":
     ``det`` builds each cofactor row with one call.
     """
     terms = _piece_terms(family, pieces)
-    if not terms:
-        return SparsePolynomial.zero(family)
     layout = _vectorizable(terms)
     out = _sum_vectorized(terms, layout) if layout else _sum_dict(terms)
     # Each exponent is at most 511, so a sum of two never carries out of its
@@ -459,7 +457,7 @@ def _sum_at_vectorized(pieces: list, targets: list, layout) -> dict:
 
 
 def _sum_at_dict(pieces: list, targets: list) -> dict:
-    guard = _guard_mask(reduce(or_, (reduce(or_, a) for _, a, _ in pieces), reduce(or_, targets)))
+    guard = _guard_mask(reduce(or_, (reduce(or_, a) for _, a, _ in pieces), reduce(or_, targets, 0)))
     out = dict.fromkeys(targets, 0)
     for sign, a, b in pieces:
         get = b.get
@@ -485,8 +483,6 @@ def _sum_at(family: str, pieces, targets) -> "SparsePolynomial":
     terms = [(s, a, b) if len(a) <= len(b) else (s, b, a)
              for s, a, b in _piece_terms(family, pieces)]
     targets = list(dict.fromkeys(targets))
-    if not terms or not targets:
-        return SparsePolynomial.zero(family)
     layout = _targeted_layout(terms, targets)
     out = _sum_at_vectorized(terms, targets, layout) if layout else _sum_at_dict(terms, targets)
     return SparsePolynomial._raw(family, out)
@@ -680,9 +676,7 @@ class SparsePolynomial:
         return SparsePolynomial._raw(self.family, {m: -c for m, c in self._terms.items()})
 
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = SparsePolynomial.constant(self.family, other)
-        if not isinstance(other, SparsePolynomial):
+        if not isinstance(other, (int, Fraction, SparsePolynomial)):
             return NotImplemented
         return self + (-other)
 

@@ -57,8 +57,9 @@ hook-length formula (Frame, Robinson and Thrall, 1954; Macdonald I.7).
 For the diagram of a curve signature only the g power sums
 ``T_(L_i + g - i)`` indexed by the first-column hook lengths occur.
 :func:`schur_in_T` therefore sums over multisets of hooks alone, depth first
-like the certifier's sweeps, and names the variables by the stratum
-coordinates ``u_i = T_(L_i + g - i)``, e.g. for (2, 5): ``1/3*u2^3 - u1``.
+(the certifier walks no such tree: a count of bead holes proves its sweeps),
+and names the variables by the stratum coordinates ``u_i = T_(L_i + g - i)``,
+e.g. for (2, 5): ``1/3*u2^3 - u1``.
 
 For a head truncation (first k rows) the walk starts from the combination
 ``sum c_nu s_nu`` left by the canonical derivative set of level k, i.e. by
@@ -205,9 +206,9 @@ def schur_bialternant(diagram: YoungDiagram, g: int) -> SparsePolynomial:
     """Alternant |t_j^(L_i + g - i)| divided by each factor t_i - t_j of the
     Vandermonde, i < j in lexicographic order; every exact division doubles
     as a self-check."""
-    if g == 0:
-        return SparsePolynomial.one("t")
     parts = _padded_parts(diagram, g)
+    if g == 0:  # det refuses the 0 x 0 matrix
+        return SparsePolynomial.one("t")
     num = [
         [SparsePolynomial.variable("t", j, parts[i - 1] + g - i) for j in range(1, g + 1)]
         for i in range(1, g + 1)
@@ -247,17 +248,15 @@ def _left_minors(parts: tuple[int, ...], g: int) -> dict:
 
 def schur_jacobi_trudi(diagram: YoungDiagram, g: int) -> SparsePolynomial:
     """Determinant |h_(L_i + j - i)| over the full variable window."""
-    if g == 0:
-        return SparsePolynomial.one("t")
     parts = _padded_parts(diagram, g)
     return _left_minors(parts, g)[tuple(range(1, g + 1))]
 
 
 def schur_tail_trudi(diagram: YoungDiagram, g: int) -> SparsePolynomial:
     """Determinant whose column j only involves the suffix window t_j..t_g."""
-    if g == 0:
-        return SparsePolynomial.one("t")
     parts = _padded_parts(diagram, g)
+    if g == 0:  # det refuses the 0 x 0 matrix
+        return SparsePolynomial.one("t")
     matrix = [
         [_h(parts[i - 1] + j - i, j, g) for j in range(1, g + 1)]
         for i in range(1, g + 1)
@@ -273,8 +272,6 @@ def schur_split_trudi(diagram: YoungDiagram, g: int, k: int) -> SparsePolynomial
     """
     if not 0 <= k <= g:
         raise ValueError(f"split point must lie in [0, {g}], got {k}")
-    if g == 0:
-        return SparsePolynomial.one("t")
     parts = _padded_parts(diagram, g)
     if k in (0, g):
         # Both degenerate splits coincide with the plain Jacobi-Trudi matrix.

@@ -79,9 +79,6 @@ class NonGapSequence:
         members = set(pole_orders(self.signature))
         return tuple(n for n in range(2 * self.signature.genus) if n not in members)
 
-    def __len__(self) -> int:
-        return len(self.values)
-
 
 @dataclass(frozen=True)
 class WeierstrassMonomial:

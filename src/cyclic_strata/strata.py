@@ -65,8 +65,6 @@ class FrobeniusCharacteristics:
     def to_diagram(self) -> YoungDiagram:
         """Rebuild the diagram; inverse of :func:`characteristics`."""
         rank = self.rank
-        if rank == 0:
-            return YoungDiagram(())
         arms = self.b[::-1]  # top-down
         legs = self.a[::-1]
         parts = [m + arms[m - 1] for m in range(1, rank + 1)]

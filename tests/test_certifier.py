@@ -49,6 +49,9 @@ def test_trial_points_are_distinct_nonzero():
             assert all(p != 0 for p in pts)
     assert trial_points(2, 0, seed=0) != trial_points(2, 1, seed=0)
     assert trial_points(2, 0, seed=5) != trial_points(2, 0, seed=6)
+    for trial, seed in [(-1, 0), (0, -1)]:
+        with pytest.raises(ValueError, match="must be non-negative"):
+            trial_points(2, trial, seed)
 
 
 def derivative_value(sig, k, index, point):
@@ -533,6 +536,17 @@ def test_certify_detects_vanishing_variant():
     assert info.value.survivors == {}
 
 
+def test_certify_natural_names_a_constant_of_the_wrong_magnitude(monkeypatch):
+    # The natural set's one survivor is the head diagram with coefficient
+    # +/-1; any other magnitude fails and names the constant.
+    sig = CurveSignature(2, 7)
+    head = young_diagram(sig).parts[:1]
+    monkeypatch.setattr(certifier, "_survivors", lambda sig, k, index: {head: 2})
+    with pytest.raises(CertificationError, match="has constant 2, expected magnitude 1") as info:
+        certify_natural(sig, 1)
+    assert info.value.survivors == {head: 2}
+
+
 def test_constant_failure_carries_survivors():
     # A variant set survives, but not as a multiple of the head diagram (4).
     sig = CurveSignature(2, 9)
@@ -613,6 +627,31 @@ def test_vanishing_is_proved_by_counting_bead_holes(monkeypatch):
     assert (len(curves), levels) == (93, 1862)
 
 
+def test_the_walk_reads_each_multiset_when_the_count_does_not_settle_it(monkeypatch):
+    # Should the root survive the count, each multiset is read, shortest
+    # first; on a sound curve none survives and the walk returns its count.
+    sig = CurveSignature(3, 7)
+    g = sig.genus
+    prune, survivors = certifier._prune, certifier._survivors
+
+    def keep_the_root(state, *args):
+        pruned.append(args)
+        return state if len(pruned) == 1 else prune(state, *args)
+
+    def reading(sig, k, index):
+        read.append(index)
+        return survivors(sig, k, index)
+
+    monkeypatch.setattr(certifier, "_prune", keep_the_root)
+    monkeypatch.setattr(certifier, "_survivors", reading)
+    for k in range(1, g):
+        pruned, read = [], []
+        n = len(natural_k(sig, k))
+        assert _vanishing_walk(sig, k, 1, n, 1, 0) == comb(g - 1 + n, n - 1)
+        assert read == [index for order in range(n)
+                        for index in combinations_with_replacement(range(1, g + 1), order)]
+
+
 def test_g_power_constants_are_the_inner_hooks_tableaux():
     # c_ell = (-1)^(a_ell + ... + a_n) f^(a_1..a_(ell-1) | b_1..b_(ell-1)):
     # the trade's constant removes the tail's n_k - ell + 1 outer diagonal
@@ -643,6 +682,12 @@ def test_certificate_json():
 
 
 # -- hierarchy -----------------------------------------------------------------
+
+
+@pytest.mark.parametrize("k", [-1, 12])
+def test_hierarchy_rejects_a_level_outside_0_to_g(k):
+    with pytest.raises(ValueError, match=rf"k must lie in \[0, 12\), got {k}"):
+        build_hierarchy(CurveSignature(5, 7), k)
 
 
 def test_hierarchy_5_7_level_4():

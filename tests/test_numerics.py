@@ -68,6 +68,8 @@ def test_affine_point_residual_check():
 def test_fs_examples():
     pts = lift_points(CURVE_25, [0.3, 1.7], 0)
     assert fs_det(CURVE_25, pts[:1]) == 1  # phi_0 = 1
+    with pytest.raises(ValueError, match="at least one point"):
+        fs_det(CURVE_25, [])
     assert abs(fs_det(CURVE_25, pts) - (pts[1].x - pts[0].x)) < 1e-12
     repeated = [pts[0], pts[0]]
     scale = abs(pts[0].x) + 1

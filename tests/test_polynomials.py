@@ -1,3 +1,4 @@
+import operator
 import random
 import tracemalloc
 from fractions import Fraction
@@ -66,6 +67,47 @@ def test_mul_examples():
     assert (T1 + T2) * (T1 - T2) == T1 * T1 - T2 * T2
     assert (T1 * Poly.zero("t")).is_zero()
     assert T1.scale(Fraction(1, 2)) + T1.scale(Fraction(1, 2)) == T1
+
+
+def test_number_operands():
+    p = T1 + 2
+    assert p + 1 == 1 + p == T1 + 3
+    assert p - 1 == T1 + 1 and 1 - p == -T1 - 1
+    assert p - Fraction(1, 2) == T1 + Fraction(3, 2)
+    assert 2 * p == p * 2 == T1.scale(2) + 4
+    assert p * Fraction(1, 2) == T1.scale(Fraction(1, 2)) + 1
+    assert Poly.one("t") == 1 and not p == 1 and Poly.zero("t") == 0
+    assert p.scale(0) == Poly.zero("t") and p.scale(0).family == "t"
+    assert repr(p) == "SparsePolynomial('t', 't1 + 2')"
+
+
+@pytest.mark.parametrize("op", [operator.add, operator.sub, operator.mul])
+def test_foreign_operands_are_not_implemented(op):
+    with pytest.raises(TypeError):
+        op(T1, "t1")
+    assert T1 != "t1"
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: Poly("", {}), ValueError, "family tag must be non-empty"),
+    (lambda: Poly.variable("t", 0), ValueError, "index must be >= 1"),
+    (lambda: Poly.variable("t", 1, -1), ValueError, "exponent must be >= 0"),
+    (lambda: (T1 + 1).constant_value(), ValueError, "not constant"),
+    (lambda: T1 ** -1, ValueError, "non-negative integers"),
+    (lambda: (T1 * T2).substitute({1: T1}), MissingAssignmentError, r"variables \[2\]"),
+    (lambda: (T1 * T2).substitute({1: T1, 2: Poly.variable("u", 1)}), FamilyMismatchError,
+     "span families"),
+    (lambda: (T1 + T2).rename_variables({1: 1, 2: 1}, "u"), ValueError, "not injective"),
+    (lambda: det([]), ValueError, "empty matrix"),
+    (lambda: det([[T1, T2]]), ValueError, "not square"),
+    (lambda: det([[T1, T2], [T3, Poly.variable("u", 1)]]), FamilyMismatchError,
+     "multiple families"),
+], ids=["empty_family", "variable_index_0", "negative_exponent", "constant_value",
+        "negative_power", "substitute_missing", "substitute_mixed_families",
+        "rename_not_injective", "det_empty", "det_not_square", "det_mixed_families"])
+def test_documented_input_errors(call, error, message):
+    with pytest.raises(error, match=message):
+        call()
 
 
 def test_family_mismatch_is_hard_error():

@@ -462,6 +462,34 @@ def test_value_routes_on_the_empty_matrix():
     assert bialternant_value(empty, 0, ()) == 1
 
 
+SYMBOLIC_ROUTES = {
+    "bialternant": schur_bialternant,
+    "jacobi_trudi": schur_jacobi_trudi,
+    "tail_trudi": schur_tail_trudi,
+    "split_trudi": functools.partial(schur_split_trudi, k=0),
+}
+
+
+@pytest.mark.parametrize("route", SYMBOLIC_ROUTES.values(), ids=SYMBOLIC_ROUTES)
+def test_symbolic_routes_on_the_empty_matrix(route):
+    # Genus 0 checks the rows against the variables, as every other genus does.
+    assert route(YoungDiagram(()), 0) == Poly.one("t")
+    for diagram, g in [(YoungDiagram((2,)), 0), (YoungDiagram((2, 1, 1)), 2)]:
+        with pytest.raises(ValueError, match=f"has {len(diagram)} rows but only {g} variables"):
+            route(diagram, g)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda lam: schur_split_trudi(lam, 2, 3), r"split point must lie in \[0, 2\], got 3"),
+    (lambda lam: split_trudi_value(lam, 2, 3, [1, 2]), r"split point must lie in \[0, 2\], got 3"),
+    (lambda lam: transition_matrix(CurveSignature(2, 5), -1), r"k must lie in \[0, 2\], got -1"),
+], ids=["schur_split_trudi", "split_trudi_value", "transition_matrix"])
+def test_split_point_and_level_out_of_range(call, message):
+    # (2, 5) has genus 2
+    with pytest.raises(ValueError, match=message):
+        call(young_diagram(CurveSignature(2, 5)))
+
+
 VALUE_CURVES = [(2, 3), (2, 5), (3, 4), (2, 7), (3, 5), (2, 9), (2, 11)]  # g <= 5
 
 

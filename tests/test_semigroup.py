@@ -7,6 +7,7 @@ import cyclic_strata
 from conftest import coprime_signatures
 from cyclic_strata.semigroup import (
     CurveSignature,
+    NonGapSequence,
     YoungDiagram,
     monomial_basis,
     nongap_sequence,
@@ -54,6 +55,16 @@ def test_nongap_sequences_golden():
     assert nongap_sequence(SIG57, 13).values == NONGAPS_57
     assert nongap_sequence(SIG79, 25).values == NONGAPS_79
     assert nongap_sequence(CurveSignature(2, 3), 2).values == (0, 2)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: NonGapSequence(SIG57, (5, 7)), "must start at N\\(0\\) = 0"),
+    (lambda: NonGapSequence(SIG57, (0, 5, 5)), "strictly increasing"),
+    (lambda: nongap_sequence(SIG57, 0), "count must be >= 1"),
+], ids=["not_from_0", "not_increasing", "count_0"])
+def test_nongap_sequence_validation(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
 
 
 def test_nongap_endpoint_identities():
@@ -178,5 +189,7 @@ def test_young_diagram_validation():
         YoungDiagram((2, 0))
     d = YoungDiagram((3, 1))
     assert d.part(1) == 3 and d.part(2) == 1 and d.part(5) == 0
+    with pytest.raises(IndexError, match="1-based"):
+        d.part(0)
     assert d.conjugate().parts == (2, 1, 1)
     assert d.conjugate().conjugate() == d

@@ -134,6 +134,8 @@ def test_characteristics_validation():
         FrobeniusCharacteristics((1, 1), (0, 2))
     with pytest.raises(ValueError):
         FrobeniusCharacteristics((0,), (0, 1))
+    with pytest.raises(ValueError, match="non-negative"):
+        FrobeniusCharacteristics((-1,), (0,))
 
 
 def test_characteristics_roundtrip_and_weight():
@@ -174,6 +176,9 @@ def test_n_k_examples():
         sig = CurveSignature(r, s)
         if sig.genus >= 1:
             assert n_k(sig, sig.genus - 1) == 1
+    for count in (n_k, N_k_sum):
+        with pytest.raises(ValueError, match=r"k must lie in \[0, 12\], got 13"):
+            count(SIG57, 13)
 
 
 def test_n_k_equals_tail_rank():
@@ -214,6 +219,8 @@ def test_fay_sets():
             assert count + sum(m_plus) + sum(m_minus) == N_k_tail(sig, k)
         if sig.genus >= 2:
             assert fay_sets(sig, sig.genus - 1) == ((0,), (0,))
+    with pytest.raises(ValueError, match=r"k must lie in \[0, 12\), got 12"):
+        fay_sets(SIG57, 12)
 
 
 def test_natural_grid():
@@ -244,6 +251,12 @@ def test_natural_k_i():
     assert natural_k_i(sig, 4, 3) == (3,)  # k = g case
     with pytest.raises(ValueError):
         natural_k_i(sig, 2, 3)
+    for k, i, message in [(0, 1, r"k must lie in \[1, 4\], got 0"),
+                          (5, 1, r"k must lie in \[1, 4\], got 5"),
+                          (4, 0, r"i must lie in \[1, 4\], got 0"),
+                          (4, 5, r"i must lie in \[1, 4\], got 5")]:
+        with pytest.raises(ValueError, match=message):
+            natural_k_i(sig, k, i)
 
 
 def test_hyperelliptic_natural_examples():
@@ -254,6 +267,10 @@ def test_hyperelliptic_natural_examples():
         sig = CurveSignature(2, 2 * g + 1)
         for k in range(1, g):
             assert set(hyperelliptic_natural(g, k)) == set(natural_k(sig, k))
+    with pytest.raises(ValueError, match="genus must be >= 2, got 1"):
+        hyperelliptic_natural(1, 1)
+    with pytest.raises(ValueError, match=r"k must lie in \[1, 4\], got 0"):
+        hyperelliptic_natural(5, 0)
 
 
 def test_rim_hook_reading():
@@ -263,6 +280,7 @@ def test_rim_hook_reading():
     # brute-force cross-check on (2,5): rim of (2,1) walked from (1,2)
     assert rim_hook_reading(CurveSignature(2, 5)) == ((1, 2), (1, 1))
     assert rim_hook_reading(CurveSignature(2, 3)) == ((1, 1),)
+    assert rim_hook_reading(CurveSignature(1, 2)) == ()  # genus 0: nothing to read
 
 
 def test_rim_hook_matches_counts():
