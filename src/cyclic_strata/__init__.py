@@ -42,7 +42,6 @@ from .polynomials import (
 )
 from .schur import (
     SchurForm,
-    SymmetricWindow,
     h_complete,
     h_from_T,
     h_recursion_check,

@@ -121,10 +121,10 @@ def fs_matrix(curve: CurveInstance, points) -> np.ndarray:
 
 
 def fs_det(curve: CurveInstance, points) -> complex:
-    import numpy as np
-
     if not points:
         raise ValueError("need at least one point")
+    import numpy as np
+
     return complex(np.linalg.det(fs_matrix(curve, points)))
 
 
@@ -158,13 +158,13 @@ class MuCoefficients:
 
 def mu_coeffs(curve: CurveInstance, points) -> MuCoefficients:
     """Solve for the interpolation coefficients at n distinct points."""
-    import numpy as np
-
     n = len(points)
     if n < 1:
         raise ValueError("need at least one point")
     if len({(round(p.x.real, 12), round(p.x.imag, 12), round(p.y.real, 12), round(p.y.imag, 12)) for p in points}) != n:
         raise ValueError("points must be pairwise distinct")
+    import numpy as np
+
     full = _phi_values(curve, points, n + 1)
     psi = full[:, :n]
     # Hadamard-scaled singularity test for the unbordered determinant.

@@ -604,11 +604,7 @@ class SparsePolynomial:
 
     @classmethod
     def variable(cls, family: str, index: int, exponent: int = 1) -> "SparsePolynomial":
-        if index < 1:
-            raise ValueError("variable index must be >= 1")
-        if exponent < 0:
-            raise ValueError("exponent must be >= 0")
-        return cls._raw(family, {_encode(((index, exponent),)): 1})
+        return cls._raw(family, {_encode(MultiIndex(((index, exponent),))): 1})
 
     # -- basic queries ---------------------------------------------------
 

@@ -31,8 +31,11 @@ determinants, stays a generic cofactor expansion whose rows are one
 variables.  The routes share only the accumulation of signed products, and
 the four determinants stay independent.
 
-:func:`h_complete` expands the complete homogeneous functions in the ``t``
-variables.  :func:`h_from_T` writes h_n in the scaled power sums
+``h_complete(n, lo, hi)`` expands the complete homogeneous function h_n over
+the window ``t_lo..t_hi`` of the ``t`` variables and rejects any window but
+``1 <= lo <= hi``; the symbolic routes read the same cached expansion, whose
+windows satisfy that rule by construction.  :func:`h_from_T` writes h_n in
+the scaled power sums
 ``T_m = (1/m) sum t_i^m`` by Newton's recurrence
 ``n h_n = sum_(m=1..n) m T_m h_(n-m)`` (note the 1/m scaling: these are not
 the plain power sums); no route here uses it, and the tests build their
@@ -65,7 +68,8 @@ For a head truncation (first k rows) the walk starts from the combination
 ``sum c_nu s_nu`` left by the canonical derivative set of level k, i.e. by
 removing its hooks, and is scaled by the head diagram's coefficient
 ``c_head = +/-1``; restricted to the level-k locus it reproduces the
-k-variable Schur polynomial of the truncated diagram.
+k-variable Schur polynomial of the truncated diagram.  The full diagram is
+the head at k = g: its derivative set is empty and its coefficient 1.
 
 Large genus
 -----------
@@ -103,7 +107,7 @@ from .polynomials import (
     exact_divide,
 )
 from .semigroup import CurveSignature, YoungDiagram, u_weights, young_diagram
-from .strata import InternalConsistencyError, natural_k
+from .strata import InternalConsistencyError, _check_level, natural_k
 
 
 EXPANSION_GATE = 6  # default genus gate of symbolic expansion
@@ -120,18 +124,6 @@ def check_expansion_gate(sig: CurveSignature, max_expand_genus: int) -> None:
             f"genus {sig.genus} exceeds the expansion gate {max_expand_genus}; "
             "raise max_expand_genus (--max-expand-genus on the command line)"
         )
-
-
-@dataclass(frozen=True)
-class SymmetricWindow:
-    """Inclusive variable range t_lo..t_hi used by windowed h functions."""
-
-    lo: int
-    hi: int
-
-    def __post_init__(self):
-        if not 1 <= self.lo <= self.hi:
-            raise ValueError(f"window must satisfy 1 <= lo <= hi, got ({self.lo}, {self.hi})")
 
 
 @dataclass(frozen=True)
@@ -158,23 +150,21 @@ class SchurForm:
 
 @lru_cache(maxsize=1024)
 def _h(n: int, lo: int, hi: int) -> SparsePolynomial:
-    # h_n over the (possibly empty) window t_lo..t_hi.
+    # h_n over the window t_lo..t_hi, lo <= hi.
     if n < 0:
         return SparsePolynomial.zero("t")
     if n == 0:
         return SparsePolynomial.one("t")
-    if lo > hi:
-        return SparsePolynomial.zero("t")
     if lo == hi:
         return SparsePolynomial.variable("t", lo, n)
     return _h(n, lo + 1, hi) + SparsePolynomial.variable("t", lo) * _h(n - 1, lo, hi)
 
 
-def h_complete(n: int, window: SymmetricWindow, g: int) -> SparsePolynomial:
-    """h_n over the window; h_0 = 1 and h_n = 0 for n < 0."""
-    if g < window.hi:
-        raise ValueError(f"window {window} exceeds the ambient variable count {g}")
-    return _h(n, window.lo, window.hi)
+def h_complete(n: int, lo: int, hi: int) -> SparsePolynomial:
+    """h_n over the window t_lo..t_hi; h_0 = 1 and h_n = 0 for n < 0."""
+    if not 1 <= lo <= hi:
+        raise ValueError(f"window must satisfy 1 <= lo <= hi, got ({lo}, {hi})")
+    return _h(n, lo, hi)
 
 
 @lru_cache(maxsize=64)
@@ -420,16 +410,14 @@ def schur_in_T(
     check_expansion_gate(sig, max_expand_genus)
     hooks = u_weights(sig)
     state = {_beads(sig): 1}
-    sign = 1
-    if parts != lam.parts:
-        for i in natural_k(sig, k):
-            state = _remove_rim_hooks(state, hooks[i - 1])
-        sign = next((c for mask, c in state.items() if _partition(mask) == parts), 0)
-        if sign not in (1, -1):
-            raise InternalConsistencyError(
-                f"natural derivative for head truncation k={k} of ({sig.r},{sig.s}) "
-                f"carries the head diagram with coefficient {sign}, not +/-1"
-            )
+    for i in natural_k(sig, k):
+        state = _remove_rim_hooks(state, hooks[i - 1])
+    sign = next((c for mask, c in state.items() if _partition(mask) == parts), 0)
+    if sign not in (1, -1):
+        raise InternalConsistencyError(
+            f"natural derivative for head truncation k={k} of ({sig.r},{sig.s}) "
+            f"carries the head diagram with coefficient {sign}, not +/-1"
+        )
     as_u = _character_form(state, hooks, sum(parts)).scale(sign)
     as_T = as_u.rename_variables(dict(enumerate(hooks, start=1)), "T")
     return SchurForm(diagram, as_T, as_u)
@@ -443,8 +431,7 @@ def transition_matrix(sig: CurveSignature, k: int) -> list[list[SparsePolynomial
     i = 1..g-k.
     """
     g = sig.genus
-    if not 0 <= k <= g:
-        raise ValueError(f"k must lie in [0, {g}], got {k}")
+    _check_level(sig, k)
     hooks = u_weights(sig)
     if k == g:
         rows, cols = range(1, g + 1), range(1, g + 1)

@@ -131,19 +131,15 @@ def characteristics(diagram: YoungDiagram) -> FrobeniusCharacteristics:
 
 def n_k(sig: CurveSignature, k: int) -> int:
     """Count of pole orders N(l) <= g - k - 1; the tail rank."""
-    g = sig.genus
-    if not 0 <= k <= g:
-        raise ValueError(f"k must lie in [0, {g}], got {k}")
-    return sum(1 for v in pole_orders(sig) if v <= g - k - 1)
+    _check_level(sig, k)
+    return sum(1 for v in pole_orders(sig) if v <= sig.genus - k - 1)
 
 
 def N_k_sum(sig: CurveSignature, k: int) -> int:
     """Derivative-order bound as a sum over pole orders."""
-    g = sig.genus
-    if not 0 <= k <= g:
-        raise ValueError(f"k must lie in [0, {g}], got {k}")
+    _check_level(sig, k)
     values = pole_orders(sig)
-    return sum(2 * g - values[l] - values[k + l] - 1 for l in range(n_k(sig, k)))
+    return sum(2 * sig.genus - values[l] - values[k + l] - 1 for l in range(n_k(sig, k)))
 
 
 def N_k_tail(sig: CurveSignature, k: int) -> int:
@@ -187,10 +183,6 @@ def natural_k_i(sig: CurveSignature, k: int, i: int) -> tuple[int, ...]:
     g = sig.genus
     if not 1 <= k <= g:
         raise ValueError(f"k must lie in [1, {g}], got {k}")
-    if k == g:
-        if not 1 <= i <= g:
-            raise ValueError(f"i must lie in [1, {g}], got {i}")
-        return (i,)
     if not 1 <= i <= k:
         raise ValueError(f"i must lie in [1, {k}], got {i}")
     base = set(natural_k(sig, k))

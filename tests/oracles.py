@@ -45,7 +45,6 @@ from math import factorial, prod
 from cyclic_strata.certifier import HookHierarchy
 from cyclic_strata.polynomials import MultiIndex, SparsePolynomial, _sum_of_products, det
 from cyclic_strata.schur import (
-    SymmetricWindow,
     _beads,
     _partition,
     _remove_rim_hooks,
@@ -107,7 +106,7 @@ def determinant_power_sum_form(parts: tuple[int, ...], sig: CurveSignature):
 
 
 def _h(n: int, lo: int, g: int) -> SparsePolynomial:
-    return h_complete(n, SymmetricWindow(lo, g), g)
+    return h_complete(n, lo, g)
 
 
 @lru_cache(maxsize=None)

@@ -313,6 +313,19 @@ def test_invalid_signature_exit_code(capsys):
     assert "gcd" in err
 
 
+@pytest.mark.parametrize("argv, code, golden", [
+    (["gaps", "5", "7", "--format", "json"], 0, "gaps_5_7.json"),
+    (["certify", "4", "6"], 2, None),
+])
+def test_console_script_hook_exits_with_the_code_of_main(capsys, monkeypatch, argv, code, golden):
+    monkeypatch.setattr("sys.argv", ["cyclic-strata", *argv])
+    with pytest.raises(SystemExit) as exit_info:
+        cli.entry()
+    assert exit_info.value.code == code
+    if golden is not None:
+        assert capsys.readouterr().out == read_golden(golden)
+
+
 def test_certify_success(capsys):
     code, out, _ = run_cli(capsys, "certify", "2", "7")
     assert code == 0

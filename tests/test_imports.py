@@ -33,7 +33,7 @@ PUBLIC_NAMES = [
     "HookHierarchy", "MuCoefficients", "MultiIndex", "N_k_sum", "N_k_tail",
     "NonGapSequence", "OffCurveError", "RamificationError", "SchurForm",
     "SparsePolynomial", "SpecialDivisorError", "StratumProfile", "SweepReport",
-    "SymmetricWindow", "WeierstrassMonomial", "YoungDiagram", "affine_point",
+    "WeierstrassMonomial", "YoungDiagram", "affine_point",
     "build_hierarchy", "certifier", "certify_g_power", "certify_natural",
     "characteristics", "det", "exact_divide", "fay_sets", "fs_det", "fs_matrix",
     "h_complete", "h_from_T", "h_recursion_check", "hyperelliptic_natural",
@@ -83,6 +83,20 @@ def test_the_dominant_expansion_loads_numpy():
         "from cyclic_strata import CurveSignature, schur_jacobi_trudi, young_diagram\n"
         "sig = CurveSignature(3, 7)\n"
         "schur_jacobi_trudi(young_diagram(sig), sig.genus)"
+    )
+
+
+@pytest.mark.parametrize("function", ["fs_det", "mu_coeffs"])
+def test_an_empty_point_list_is_rejected_before_numpy_loads(function):
+    assert not numpy_loaded_by(
+        f"from cyclic_strata import CurveInstance, CurveSignature, {function}\n"
+        "curve = CurveInstance(CurveSignature(2, 5), (1, 0, 0, 0, 0))\n"
+        "try:\n"
+        f"    {function}(curve, [])\n"
+        "except ValueError as exc:\n"
+        "    assert str(exc) == 'need at least one point', exc\n"
+        "else:\n"
+        "    raise AssertionError('no ValueError')"
     )
 
 

@@ -90,8 +90,8 @@ def test_foreign_operands_are_not_implemented(op):
 
 @pytest.mark.parametrize("call, error, message", [
     (lambda: Poly("", {}), ValueError, "family tag must be non-empty"),
-    (lambda: Poly.variable("t", 0), ValueError, "index must be >= 1"),
-    (lambda: Poly.variable("t", 1, -1), ValueError, "exponent must be >= 0"),
+    (lambda: Poly.variable("t", 0), ValueError, "index must be >= 1, got 0"),
+    (lambda: Poly.variable("t", 1, -1), ValueError, "exponent must be >= 0, got -1"),
     (lambda: (T1 + 1).constant_value(), ValueError, "not constant"),
     (lambda: T1 ** -1, ValueError, "non-negative integers"),
     (lambda: (T1 * T2).substitute({1: T1}), MissingAssignmentError, r"variables \[2\]"),

@@ -19,7 +19,6 @@ from cyclic_strata import schur
 from cyclic_strata.polynomials import MultiIndex, SparsePolynomial as Poly, det
 from cyclic_strata.schur import (
     ExpansionLimitError,
-    SymmetricWindow,
     _beads,
     _partition,
     _remove_rim_hooks,
@@ -69,13 +68,12 @@ def brute_newton_h(n):
 
 
 def test_h_complete_examples():
-    w12 = SymmetricWindow(1, 2)
     t1, t2 = Poly.variable("t", 1), Poly.variable("t", 2)
-    assert h_complete(2, w12, 2) == t1 * t1 + t1 * t2 + t2 * t2
-    assert h_complete(0, w12, 2) == Poly.one("t")
-    assert h_complete(-3, w12, 2).is_zero()
+    assert h_complete(2, 1, 2) == t1 * t1 + t1 * t2 + t2 * t2
+    assert h_complete(0, 1, 2) == Poly.one("t")
+    assert h_complete(-3, 1, 2).is_zero()
     g = 5
-    assert h_complete(1, SymmetricWindow(1, g), g) == sum(
+    assert h_complete(1, 1, g) == sum(
         (Poly.variable("t", v) for v in range(2, g + 1)), Poly.variable("t", 1)
     )
 
@@ -83,14 +81,13 @@ def test_h_complete_examples():
 def test_h_complete_against_generating_function():
     for lo, hi in [(1, 3), (2, 4), (1, 4)]:
         for n in range(0, 6):
-            assert h_complete(n, SymmetricWindow(lo, hi), 4) == brute_h(n, lo, hi)
+            assert h_complete(n, lo, hi) == brute_h(n, lo, hi)
 
 
 def test_window_validation():
-    with pytest.raises(ValueError):
-        SymmetricWindow(3, 2)
-    with pytest.raises(ValueError):
-        h_complete(2, SymmetricWindow(1, 5), 4)
+    for lo, hi in [(3, 2), (0, 2)]:
+        with pytest.raises(ValueError, match=rf"window must satisfy 1 <= lo <= hi, got \({lo}, {hi}\)"):
+            h_complete(2, lo, hi)
 
 
 def test_h_from_T_small():
@@ -136,7 +133,7 @@ def test_h_from_T_bridges_to_h_complete():
             expanded = hT.substitute(
                 {m: power_sum_polynomial(m, 1, g) for m in hT.variables()}
             )
-            assert expanded == h_complete(n, SymmetricWindow(1, g), g)
+            assert expanded == h_complete(n, 1, g)
 
 
 # -- the four routes -----------------------------------------------------------
@@ -153,9 +150,7 @@ def test_jacobi_trudi_examples():
     t1, t2 = Poly.variable("t", 1), Poly.variable("t", 2)
     assert schur_jacobi_trudi(YoungDiagram((2, 1)), 2) == t1 * t1 * t2 + t1 * t2 * t2
     # single-row diagram reduces to h_n
-    assert schur_jacobi_trudi(YoungDiagram((4,)), 3) == h_complete(
-        4, SymmetricWindow(1, 3), 3
-    )
+    assert schur_jacobi_trudi(YoungDiagram((4,)), 3) == h_complete(4, 1, 3)
     assert schur_tail_trudi(YoungDiagram((3,)), 1) == Poly.variable("t", 1, 3)
 
 

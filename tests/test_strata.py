@@ -257,6 +257,12 @@ def test_natural_k_i():
                           (4, 5, r"i must lie in \[1, 4\], got 5")]:
         with pytest.raises(ValueError, match=message):
             natural_k_i(sig, k, i)
+    # at k = g the base set is empty, so each variant is the one index i
+    for r, s in coprime_signatures(13):
+        curve = CurveSignature(r, s)
+        g = curve.genus
+        indices = range(1, g + 1)
+        assert [natural_k_i(curve, g, i) for i in indices] == [(i,) for i in indices], (r, s)
 
 
 def test_hyperelliptic_natural_examples():
