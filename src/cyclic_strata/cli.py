@@ -309,7 +309,7 @@ def _load_json(path: str):
     try:
         with open(path, "r", encoding="utf-8") as handle:
             return json.load(handle)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:  # ValueError: bad JSON or UTF-8
         raise SystemExit2(f"cannot read {path}: {exc}")
 
 
@@ -330,7 +330,7 @@ def cmd_mu(args) -> int:
         ]
         if not all(map(cmath.isfinite, [*lambdas, *(z for point in raw_points for z in point)])):
             raise ValueError("lambdas and coordinates must be finite")
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise SystemExit2(f"malformed curve/points file: {exc}")
     try:
         points = [affine_point(curve, x, y) for x, y in raw_points]

@@ -696,15 +696,7 @@ class SparsePolynomial:
     def __pow__(self, n: int) -> "SparsePolynomial":
         if not isinstance(n, int) or n < 0:
             raise ValueError("polynomial powers must be non-negative integers")
-        result = SparsePolynomial.one(self.family)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            n >>= 1
-            if n:
-                base = base * base
-        return result
+        return reduce(SparsePolynomial.__mul__, [self] * n, SparsePolynomial.one(self.family))
 
     # -- calculus and specialization --------------------------------------
 
@@ -739,20 +731,11 @@ class SparsePolynomial:
         if len(families) > 1:
             raise FamilyMismatchError(f"substitution images span families {sorted(families)}")
         target = families.pop() if families else self.family
-        powers: dict[tuple[int, int], SparsePolynomial] = {}
-
-        def power(v: int, e: int) -> SparsePolynomial:
-            got = powers.get((v, e))
-            if got is None:
-                got = assignment[v] if e == 1 else power(v, e - 1) * assignment[v]
-                powers[(v, e)] = got
-            return got
-
         result = SparsePolynomial.zero(target)
         for m, c in self._terms.items():
-            # The coefficient comes last, so integer images multiply as ints.
-            factors = sorted((power(v, e) for v, e in _decode(m)), key=len)
-            term = reduce(SparsePolynomial.__mul__, factors, SparsePolynomial.one(target))
+            term = SparsePolynomial.one(target)
+            for v, e in _decode(m):
+                term = term * assignment[v] ** e
             result = result + term.scale(c)
         return result
 

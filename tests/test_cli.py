@@ -494,6 +494,14 @@ def test_mu_malformed_input_exit_code(capsys, tmp_path):
                                  "--points", str(points_path))
         assert (code, out) == (2, ""), (r, s)
         assert err.startswith("error: malformed curve/points file: r and s must be JSON integers")
+    # Not UTF-8; nested past the recursion limit; an integer beyond float range.
+    big = json.dumps({**spec, "lambdas": [[10**400, 0]] + spec["lambdas"][1:]})
+    for data in [b"\xff\xfe{}", b"[" * 100000 + b"]" * 100000, big.encode()]:
+        curve_path.write_bytes(data)
+        code, out, err = run_cli(capsys, "mu", "--curve", str(curve_path),
+                                 "--points", str(points_path))
+        assert (code, out) == (2, ""), data[:20]
+        assert err.startswith("error: ")
 
 
 @pytest.mark.parametrize("points", [
@@ -501,6 +509,7 @@ def test_mu_malformed_input_exit_code(capsys, tmp_path):
     "[[0, 0, 0, 0], [0, 0, 0, 0]]",
     "[[1e400, 0, 0, 0]]",
     "[[NaN, 0, 0, 0]]",
+    pytest.param(f"[[{10**400}, 0, 0, 0]]", id="integer_beyond_float"),
 ])
 def test_mu_rejects_empty_repeated_or_non_finite_points(capsys, tmp_path, points):
     # (0, 0) lies on y^2 = x^5 + 4x^4 + 3x^3 + 2x^2 + x, so only the rule can reject it.

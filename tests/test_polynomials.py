@@ -142,6 +142,29 @@ def test_substitute_identity_and_composition():
     assert q.terms == p.terms
 
 
+def test_substitute_repeated_variables_into_integer_images():
+    p = (T1 ** 3 * T2 ** 2).scale(Fraction(3, 2)) - T1.scale(Fraction(1, 3))
+    U1, U2 = Poly.variable("U", 1), Poly.variable("U", 2)
+    got = p.substitute({1: U1 + 1, 2: U2.scale(2)})
+    # 3/2 (U1 + 1)^3 (2 U2)^2 - 1/3 (U1 + 1)
+    assert got == Poly("U", [
+        (MultiIndex([(1, 3), (2, 2)]), 6),
+        (MultiIndex([(1, 2), (2, 2)]), 18),
+        (MultiIndex([(1, 1), (2, 2)]), 18),
+        (MultiIndex([(2, 2)]), 6),
+        (MultiIndex([(1, 1)]), Fraction(-1, 3)),
+        (MultiIndex([]), Fraction(-1, 3)),
+    ])
+
+
+def test_powers_are_repeated_products():
+    p = T1.scale(Fraction(1, 2)) - (T2 * T3).scale(Fraction(2, 3)) + 3
+    assert p ** 5 == p * p * p * p * p
+    assert p ** 1 == p
+    assert (Poly.variable("u", 1) + 1) ** 0 == Poly.one("u")  # == compares families
+    assert (T1 * T3) ** 511 == Poly("t", {MultiIndex([(1, 511), (3, 511)]): 1})
+
+
 def test_canonical_str():
     u1, u2 = Poly.variable("u", 1), Poly.variable("u", 2)
     p = (u2 ** 3).scale(Fraction(1, 3)) - u1
