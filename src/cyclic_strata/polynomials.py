@@ -32,18 +32,23 @@ so on).
 
 Exact division
 --------------
-The package divides only by a Vandermonde factor: :func:`exact_divide`
-takes a divisor ``t_a - t_b`` with a != b and raises ``ValueError`` for any
-other.  :func:`_divide_difference` computes the quotient by grouped prefix
-sums: the terms with equal exponents off ``t_a, t_b`` and equal ``d = e_a +
-e_b`` form a group, and the quotient's coefficient at ``t_a^e t_b^(d-1-e)``
-is ``-sum(p_f, f <= e)`` over the group's terms ``p_f t_a^f t_b^(d-f)``.  It
-is exact iff every group sums to 0.  The arrays are int64 when the
-coefficients are ints whose absolute values sum below 2**62 and the repacked
-keys fit 63 bits, and Python objects otherwise, so the quotient is exact for
-any coefficients.  Its one caller, ``schur.schur_bialternant``, divides by
-the Vandermonde's factors one at a time, in int64 up to (3, 8) at least:
-(3, 7) takes 0.02 s and (3, 8), at genus 7, 0.9 s (2 cores, Python 3.11).
+The package divides only by Vandermonde factors: :func:`exact_divide` takes
+a dividend and any number of divisors ``t_a - t_b`` with a != b, and raises
+``ValueError`` for any other divisor.  :func:`_divide_differences` reads the
+dividend into an exponent matrix and a coefficient array once, divides by
+the factors one after another, and writes the quotient back once.  Each
+factor is divided by grouped prefix sums: the terms with equal exponents off
+``t_a, t_b`` and equal ``d = e_a + e_b`` form a group, and the quotient's
+coefficient at ``t_a^e t_b^(d-1-e)`` is ``-sum(p_f, f <= e)`` over the
+group's terms ``p_f t_a^f t_b^(d-f)``.  It is exact iff every group sums to
+0, so the chain raises ``InexactDivisionError`` at the first factor that
+leaves a remainder.  A quotient's coefficients can outgrow its dividend's,
+so before every factor the coefficients are int64 while they are ints whose
+absolute values sum below 2**62, and the packed keys while they fit 63 bits;
+either is a Python-object array otherwise.  ``schur.schur_bialternant``
+divides by the whole Vandermonde in one call: (3, 7) takes 6 ms and (3, 8),
+at genus 7, 0.13 s, against 18 ms and 0.63-0.70 s with one dict-to-array
+round trip per factor (2 cores, Python 3.11).
 
 Determinants
 ------------
@@ -54,7 +59,10 @@ which is the shape of every Jacobi-Trudi style matrix in this package.  Each
 cofactor row ``sum_j +/- a_(i,j) * minor_j`` is one fused sum of products (see
 below).  It has no size dispatch: polynomial Bareiss, whose every step is an
 exact division, took about 100 times as long on the 7x7 alternants of
-(2, 15).  The exact-number value routes use :func:`_det_bareiss`,
+(2, 15).  It serves the bialternant's alternant and ``schur_tail_trudi``,
+whose cofactor rows are not symmetric (next sections); the split routes
+expand their right-hand determinants in the same order themselves, with
+symmetric rows.  The exact-number value routes use :func:`_det_bareiss`,
 integer-preserving Bareiss elimination over ``int`` entries.  The routes
 clear the point's denominators first, so they build their entries and run the
 elimination in ``int`` and make one ``Fraction`` at the end: the 34 value
@@ -79,8 +87,7 @@ max|c2|`` over the pieces.  It fits when ``2 * bias < 2**shift`` and no
 merged sum can overflow (``bias * sum(min(len(a), len(b))) < 2**62``);
 :func:`_vectorizable` is that rule.  :func:`_exponents` reads the keys six
 fields (60 bits) at a time, so the number of variables enters only through
-the radii: the 6x6 determinants in ``t_2..t_7`` of a genus-7 split route
-run in numpy.  Each piece is packed in blocks of whole rows of its longer
+the radii.  Each piece is packed in blocks of whole rows of its longer
 factor, at most ``_BLOCK_PAIRS`` (2**18, 2 MiB) term pairs each; a block is
 sorted in place and ``reduceat`` merges its equal indices.  The small reduced
 ``(index, sum)`` arrays of all blocks are merged by one stable argsort and
@@ -113,10 +120,11 @@ each one to every distinct permutation of its exponent vector.  The result
 equals the full sum whenever the sum is symmetric; nothing here checks that,
 so only sums symmetric by construction may take this path.  In ``schur``
 they are the full-window left minors of the Jacobi-Trudi matrix and the
-split routes' Laplace sums, all polynomials in the ``h_m(t_1..t_g)``.  For
-``(3, 7)`` the 64 minors hold 49,943 terms, 462 of them dominant; the full
-sums took 8.1 M term pairs, and the sums at the 897 dominant targets take
-0.48 M.
+split routes' Laplace sums, all polynomials in the ``h_m(t_1..t_g)``, and
+the minors of the split routes' right-hand determinants, polynomials in the
+``h_m(t_(k+1)..t_g)`` that are expanded in ``t_1..t_(g-k)``.  For ``(3, 7)``
+the 64 left minors hold 49,943 terms, 462 of them dominant; the full sums
+took 8.1 M term pairs, and the sums at the 897 dominant targets take 0.48 M.
 
 :func:`_sum_at` tests ``m <= t`` with a guard bit atop every field, on keys
 repacked into fields of ``bit_length(max exponent) + 1`` bits so that seven
@@ -129,10 +137,10 @@ least 1,500 and at least twice the terms of the b factors, which numpy reads
 and sorts; otherwise it runs an exact dict loop.  On the Trudi sums of eight
 curves with g <= 6 that rule took 112.8 ms in all, the faster path of every
 sum 112.8 ms, and the 1,500-pair cutoff alone 119.2 ms (2 cores, Python
-3.11).  :func:`det`, and with it
-``schur_tail_trudi``, the bialternant and the split routes' right-hand
-determinants, stays generic: a cofactor row of those matrices is not
-symmetric in all the variables.
+3.11).  :func:`det`, and with it ``schur_tail_trudi`` and the
+bialternant's alternant, stays generic: a tail column j reads ``t_j..t_g``
+and an alternant entry is one monomial, so a cofactor row of those matrices
+is not symmetric in the variables it uses.
 """
 
 from __future__ import annotations
@@ -781,65 +789,77 @@ class SparsePolynomial:
 # -- exact division ---------------------------------------------------------
 
 
-def exact_divide(p: SparsePolynomial, q: SparsePolynomial) -> SparsePolynomial:
-    """Return p / q for a divisor ``q = t_a - t_b`` with a != b, raising
-    :class:`InexactDivisionError` unless exact."""
-    p._check_family(q)
-    if not q:
-        raise ZeroDivisionError("polynomial division by zero")
-    signs = {c: k for k, c in q._terms.items()}
-    ka, kb = signs.get(1, 0), signs.get(-1, 0)
-    a, b = ((k.bit_length() - 1) // _BITS for k in (ka, kb))
-    if len(q) != 2 or not ka or not kb or (ka, kb) != (1 << (_BITS * a), 1 << (_BITS * b)):
-        raise ValueError(f"exact_divide divides only by t_a - t_b with a != b, not by {q}")
-    return SparsePolynomial._raw(p.family, _divide_difference(p._terms, a, b) if p else {})
+def exact_divide(p: SparsePolynomial, *divisors: SparsePolynomial) -> SparsePolynomial:
+    """Return p divided by the product of ``divisors``, each ``t_a - t_b``
+    with a != b, raising :class:`InexactDivisionError` at the first factor
+    that leaves a remainder."""
+    pairs = []
+    for q in divisors:
+        p._check_family(q)
+        if not q:
+            raise ZeroDivisionError("polynomial division by zero")
+        signs = {c: k for k, c in q._terms.items()}
+        ka, kb = signs.get(1, 0), signs.get(-1, 0)
+        a, b = ((k.bit_length() - 1) // _BITS for k in (ka, kb))
+        if len(q) != 2 or not ka or not kb or (ka, kb) != (1 << (_BITS * a), 1 << (_BITS * b)):
+            raise ValueError(f"exact_divide divides only by t_a - t_b with a != b, not by {q}")
+        pairs.append((a, b))
+    if not p or not pairs:
+        return p
+    return SparsePolynomial._raw(p.family, _divide_differences(p._terms, pairs))
 
 
-def _divide_difference(terms: dict, a: int, b: int) -> dict:
-    """The quotient by ``t_(a+1) - t_(b+1)`` by grouped prefix sums.
+def _divide_differences(terms: dict, pairs: list) -> dict:
+    """The quotient by ``t_(a+1) - t_(b+1)`` over ``(a, b)`` in ``pairs``, one
+    factor after another, by grouped prefix sums.
 
-    ``q_e = -sum(p_f, f <= e)`` holds from a group's term at ``e_a = f`` up
-    to its next term, so each run is one ``np.repeat``.  The coefficients
-    are int64 when they are ints whose absolute values sum below 2**62 (no
-    prefix sum can overflow), and the packed keys when they fit 63 bits;
-    either is a Python-object array otherwise, which numpy sums and sorts
-    exactly.
+    For each factor, ``q_e = -sum(p_f, f <= e)`` holds from a group's term at
+    ``e_a = f`` up to its next term, so each run is one ``np.repeat``.  The
+    packed keys are int64 when they fit 63 bits and Python objects otherwise,
+    which numpy sorts and sums exactly, as it does object coefficients.
     """
     import numpy as np
 
-    used = reduce(or_, terms, 1 << (_BITS * a) | 1 << (_BITS * b))
-    nvars = _fields(used)
-    # one field per variable, wide enough for e_a + e_b
-    width = (2 * max((used >> (_BITS * v)) & _FIELD for v in range(nvars))).bit_length()
+    nvars = max(_fields(reduce(or_, terms)), 1 + max(map(max, pairs)))
     exps = _exponents(terms, nvars)
-    total = sum(map(abs, terms.values()))  # a Fraction if any coefficient is one
-    if type(total) is int and total < 2**62:
-        coeffs = np.fromiter(terms.values(), np.int64, len(terms))
-    else:
-        coeffs = np.array(list(terms.values()), object)
-    # Field a holds d and field b holds e_a, packed lowest, so that sorting
-    # the packed rows sorts each group by e_a and keeps it contiguous.
-    exps[:, a] += exps[:, b]
-    exps[:, b] = exps[:, a] - exps[:, b]
-    shifts = width * ((np.arange(nvars) - b) % nvars)
-    if nvars * width <= 63:
-        packed = exps @ np.left_shift(1, shifts)
-    else:
-        packed = exps.astype(object) @ np.array([1 << s for s in shifts.tolist()], object)
-    order = np.argsort(packed)
-    group, exps, coeffs = packed[order] >> width, exps[order], coeffs[order]
-    ea = exps[:, b]
-    # While every group before sums to 0, the running sum is the group's own.
-    prefix = np.cumsum(coeffs)
-    if prefix[np.append(group[1:] != group[:-1], True)].any():
-        raise InexactDivisionError("a group of terms does not sum to 0; division is not exact")
-    runs = np.append(ea[1:], 0) - ea
-    runs[prefix == 0] = 0  # zero quotient terms, and the end of every group
-    e = np.repeat(ea, runs) + np.arange(runs.sum()) - np.repeat(np.cumsum(runs) - runs, runs)
-    out = np.repeat(exps, runs, axis=0)
-    out[:, b] = out[:, a] - 1 - e
-    out[:, a] = e
-    return dict(zip(_keys(out), (-np.repeat(prefix, runs)).tolist()))
+    coeffs = np.array(list(terms.values()), object)
+    for a, b in pairs:
+        # int64 coefficients while they are ints whose |c| sum below 2**62, so
+        # that no prefix sum overflows; every int64 |c| is below 2**62, so the
+        # sums of its 31-bit halves are exact
+        if coeffs.dtype == object:
+            total = np.abs(coeffs).sum()  # a Fraction if any coefficient is one
+        else:
+            mags = np.abs(coeffs)
+            total = (int((mags >> 31).sum()) << 31) + int((mags & (2**31 - 1)).sum())
+        coeffs = coeffs.astype(np.int64 if type(total) is int and total < 2**62 else object, copy=False)
+        # one field per variable, wide enough for e_a + e_b
+        width = (2 * int(exps.max())).bit_length()
+        # Field a holds d and field b holds e_a, packed lowest, so that
+        # sorting the packed rows sorts each group by e_a and keeps it
+        # contiguous.
+        exps[:, a] += exps[:, b]
+        exps[:, b] = exps[:, a] - exps[:, b]
+        shifts = width * ((np.arange(nvars) - b) % nvars)
+        if nvars * width <= 63:
+            packed = exps @ np.left_shift(1, shifts)
+        else:
+            packed = exps.astype(object) @ np.array([1 << s for s in shifts.tolist()], object)
+        order = np.argsort(packed)
+        group, exps, coeffs = packed[order] >> width, exps[order], coeffs[order]
+        ea = exps[:, b]
+        # While every group before sums to 0, the running sum is the group's own.
+        prefix = np.cumsum(coeffs)
+        if prefix[np.append(group[1:] != group[:-1], True)].any():
+            raise InexactDivisionError("a group of terms does not sum to 0; division is not exact")
+        runs = np.append(ea[1:], 0) - ea
+        runs[prefix == 0] = 0  # zero quotient terms, and the end of every group
+        e = np.repeat(ea, runs) + np.arange(runs.sum()) - np.repeat(np.cumsum(runs) - runs, runs)
+        exps = np.repeat(exps, runs, axis=0)
+        exps[:, b] = exps[:, a] - 1 - e
+        exps[:, a] = e
+        coeffs = -np.repeat(prefix, runs)
+    return dict(zip(_keys(exps), coeffs.tolist()))
 
 
 # -- determinants ------------------------------------------------------------

@@ -20,16 +20,20 @@ The three Trudi routes are the bialternant's independent oracles; the
 Jacobi-Trudi and split routes share the full-window minors ``_left_minors``.
 Each of those minors is a polynomial in the ``h_m(t_1..t_g)``, and each
 split route's Laplace sum over row subsets is ``s_L`` itself, so all of them
-are symmetric in ``t_1..t_g``: ``_symmetric_sum_of_products`` computes each
-one only at the partitions of its degree with at most g parts and expands
-them by permutation.  That is exact for a symmetric polynomial (Macdonald,
-I.6), and it took ``schur_jacobi_trudi`` of (3, 7) from 0.22 to 0.07 s and
-of (3, 8), at genus 7, from 200 to 1.0 s.  ``det``, and so
-``schur_tail_trudi``, the bialternant and the split routes' right-hand
-determinants, stays a generic cofactor expansion whose rows are one
-``_sum_of_products`` call each: those rows are not symmetric in all the
-variables.  The routes share only the accumulation of signed products, and
-the four determinants stay independent.
+are symmetric in ``t_1..t_g``.  The right-hand minors of the split route at
+k are symmetric in ``t_(k+1)..t_g``: it expands them in ``t_1..t_(g-k)``,
+bottom-up with one memo for all its complements, and moves them up k
+variables.  ``_symmetric_sum_of_products`` computes each such sum only at
+the partitions of its degree and expands them by permutation, which is
+exact for a symmetric polynomial (Macdonald, I.6).  At genus 7, (3, 8),
+``schur_jacobi_trudi`` went from 200 to 1.0 s that way, and the split routes
+k = 1..6 from 1.13-1.33 to 0.24-0.28 s (2 cores, Python 3.11).  ``det``, and
+so ``schur_tail_trudi`` and the bialternant's alternant, stays generic: a
+tail column j reads ``t_j..t_g`` and an alternant entry is one monomial, so
+their cofactor rows are not symmetric, and those two routes share no code
+with the symmetric kernel they check.  The bialternant divides by the whole
+Vandermonde in one ``exact_divide`` call, 0.12-0.13 s at (3, 8) against
+0.63-0.70 s one factor per call.
 
 ``h_complete(n, lo, hi)`` expands the complete homogeneous function h_n over
 the window ``t_lo..t_hi`` of the ``t`` variables and rejects any window but
@@ -98,6 +102,7 @@ from itertools import combinations
 from math import factorial, lcm, prod
 
 from .polynomials import (
+    _BITS,
     InexactDivisionError,
     MultiIndex,
     SparsePolynomial,
@@ -193,9 +198,9 @@ def _padded_parts(diagram: YoungDiagram, g: int) -> tuple[int, ...]:
 
 
 def schur_bialternant(diagram: YoungDiagram, g: int) -> SparsePolynomial:
-    """Alternant |t_j^(L_i + g - i)| divided by each factor t_i - t_j of the
-    Vandermonde, i < j in lexicographic order; every exact division doubles
-    as a self-check."""
+    """Alternant |t_j^(L_i + g - i)| divided by the Vandermonde, factor
+    t_i - t_j after factor, i < j in lexicographic order; every exact
+    division doubles as a self-check."""
     parts = _padded_parts(diagram, g)
     if g == 0:  # det refuses the 0 x 0 matrix
         return SparsePolynomial.one("t")
@@ -203,14 +208,12 @@ def schur_bialternant(diagram: YoungDiagram, g: int) -> SparsePolynomial:
         [SparsePolynomial.variable("t", j, parts[i - 1] + g - i) for j in range(1, g + 1)]
         for i in range(1, g + 1)
     ]
-    quotient = det(num)
+    vandermonde = [SparsePolynomial.variable("t", i) - SparsePolynomial.variable("t", j)
+                   for i, j in combinations(range(1, g + 1), 2)]
     try:
-        for i, j in combinations(range(1, g + 1), 2):
-            factor = SparsePolynomial.variable("t", i) - SparsePolynomial.variable("t", j)
-            quotient = exact_divide(quotient, factor)
+        return exact_divide(det(num), *vandermonde)
     except InexactDivisionError as exc:  # pragma: no cover - mathematically impossible
         raise InternalConsistencyError("Vandermonde does not divide the alternant") from exc
-    return quotient
 
 
 @lru_cache(maxsize=4)
@@ -258,7 +261,8 @@ def schur_split_trudi(diagram: YoungDiagram, g: int, k: int) -> SparsePolynomial
     """Split determinant: full window in columns <= k, suffix window beyond.
 
     Evaluated by Laplace expansion along the first k columns so that the
-    expensive full-window minors are shared across all split points.
+    expensive full-window minors are shared across all split points; the
+    right-hand determinants are expanded in t_1..t_(g-k).
     """
     if not 0 <= k <= g:
         raise ValueError(f"split point must lie in [0, {g}], got {k}")
@@ -266,6 +270,29 @@ def schur_split_trudi(diagram: YoungDiagram, g: int, k: int) -> SparsePolynomial
     if k in (0, g):
         # Both degenerate splits coincide with the plain Jacobi-Trudi matrix.
         return schur_jacobi_trudi(diagram, g)
+    width, shift = g - k, _BITS * k
+    # h_n(t_(k+1)..t_g) with its variables moved down to t_1..t_(g-k)
+    lowered = {n: SparsePolynomial._raw("t", {m >> shift: c for m, c in _h(n, k + 1, g)._terms.items()})
+               for n in range(-g, parts[0] + g)}
+    memo: dict[tuple, SparsePolynomial] = {}
+
+    def right_minor(rows: tuple[int, ...], cols: tuple[int, ...]) -> SparsePolynomial:
+        # rows against columns k + cols, expanded bottom-up as det does;
+        # entry (i, c) is h_(parts_i + k + c - i)
+        got = memo.get((rows, cols))
+        if got is None:
+            top = parts[rows[0] - 1] + k - rows[0]
+            if len(rows) == 1:
+                got = lowered[top + cols[0]]
+            else:
+                got = _symmetric_sum_of_products("t", [
+                    (-1 if pos % 2 else 1, lowered[top + c],
+                     right_minor(rows[1:], cols[:pos] + cols[pos + 1:]))
+                    for pos, c in enumerate(cols)
+                ], sum(parts[i - 1] + k - i for i in rows) + sum(cols), width)
+            memo[rows, cols] = got
+        return got
+
     minors = _left_minors(parts, g)
     pieces = []
     for subset in combinations(range(1, g + 1), k):
@@ -273,12 +300,10 @@ def schur_split_trudi(diagram: YoungDiagram, g: int, k: int) -> SparsePolynomial
         if left.is_zero():
             continue
         complement = tuple(i for i in range(1, g + 1) if i not in subset)
-        right_matrix = [
-            [_h(parts[i - 1] + j - i, k + 1, g) for j in range(k + 1, g + 1)]
-            for i in complement
-        ]
+        right = right_minor(complement, tuple(range(1, width + 1)))
+        shifted = SparsePolynomial._raw("t", {m << shift: c for m, c in right._terms.items()})
         sign = -1 if (sum(subset) + k * (k + 1) // 2) % 2 else 1
-        pieces.append((sign, left, det(right_matrix)))
+        pieces.append((sign, left, shifted))
     return _symmetric_sum_of_products("t", pieces, sum(parts), g)
 
 

@@ -134,7 +134,7 @@ def generic_split_sum(parts: tuple[int, ...], g: int, k: int) -> SparsePolynomia
     for subset in combinations(range(1, g + 1), k):
         complement = [i for i in range(1, g + 1) if i not in subset]
         right = det([[_h(parts[i - 1] + j - i, k + 1, g) for j in range(k + 1, g + 1)]
-                     for i in complement])
+                     for i in complement]) if complement else SparsePolynomial.one("t")
         sign = -1 if (sum(subset) + k * (k + 1) // 2) % 2 else 1
         pieces.append((sign, minors[subset], right))
     return _sum_of_products("t", pieces)

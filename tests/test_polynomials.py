@@ -2,7 +2,7 @@ import operator
 import random
 import tracemalloc
 from fractions import Fraction
-from itertools import combinations_with_replacement, permutations
+from itertools import combinations, combinations_with_replacement, permutations
 
 import numpy as np
 import pytest
@@ -27,7 +27,7 @@ from cyclic_strata.polynomials import (
     det,
     exact_divide,
 )
-from cyclic_strata.schur import jacobi_trudi_value, schur_bialternant
+from cyclic_strata.schur import jacobi_trudi_value, schur_bialternant, schur_jacobi_trudi
 from cyclic_strata.semigroup import CurveSignature, young_diagram
 
 T1 = Poly.variable("t", 1)
@@ -594,6 +594,28 @@ def test_difference_division_with_object_arrays(monkeypatch):
         assert object in seen
         with pytest.raises(InexactDivisionError):
             exact_divide(p + Poly.variable("t", 3, 9), diff)
+
+
+def test_vandermonde_division_changes_array_types_on_the_way(monkeypatch):
+    # The (3, 5) alternant has 24 terms of coefficient +/-1 and s_lambda's
+    # coefficients sum to 45, so the scaled alternant starts in int64 and the
+    # quotient by the whole Vandermonde ends with |coefficients| past 2**62.
+    sig = CurveSignature(3, 5)
+    lam, g = young_diagram(sig), sig.genus
+    scale = (2**62 - 1) // 24
+    alternant = det([[Poly.variable("t", j, lam.part(i) + g - i) for j in range(1, g + 1)]
+                     for i in range(1, g + 1)]).scale(scale)
+    vandermonde = [_difference(i, j) for i, j in combinations(range(1, g + 1), 2)]
+    expected = schur_jacobi_trudi(lam, g).scale(scale)
+    assert sum(map(abs, expected.terms.values())) == 45 * scale >= 2**62
+    seen = _record_dtypes(monkeypatch)
+    assert exact_divide(alternant, *vandermonde) == expected
+    # the first factor sorts int64 keys and sums int64 coefficients
+    assert seen[:2] == [np.int64, np.int64] and object in seen
+    # divisible by t1 - t2 alone, so the chain stops at a later factor
+    with pytest.raises(InexactDivisionError):
+        exact_divide(alternant + (T1 - T2) * Poly.variable("t", 3, 5), *vandermonde)
+    assert exact_divide(alternant) == alternant  # the empty product
 
 
 # -- the sum-of-products kernel ------------------------------------------------

@@ -186,6 +186,23 @@ def test_bialternant_matches_jacobi_trudi_on_small_partitions():
                 assert schur_bialternant(nu, k) == schur_jacobi_trudi(nu, k), (parts, k)
 
 
+def test_split_routes_on_small_partitions():
+    # Zero-padded parts, zero entries and empty right-hand minors, which the
+    # curve diagrams of the generic-oracle test below do not reach.
+    cases = 0
+    for n in range(8):
+        for parts in partitions(n):
+            nu = YoungDiagram(parts)
+            for g in range(len(parts), 5):
+                reference = schur_bialternant(nu, g)
+                padded = schur._padded_parts(nu, g)
+                for k in range(g + 1):
+                    split = schur_split_trudi(nu, g, k)
+                    assert split == reference == generic_split_sum(padded, g, k), (parts, g, k)
+                    cases += 1
+    assert cases == 391
+
+
 def test_route_equality_non_curve_diagram():
     # the identities are general; try a non-curve partition too
     d = YoungDiagram((3, 1, 1))
