@@ -102,54 +102,54 @@ pairs, and the paths tied below; on the fused ``routes`` sums it won 5 of 9
 sums of 1,500-3,000 pairs and 42 of 49 larger ones.
 
 numpy is imported inside the functions that use it, so a process that never
-reaches a packed kernel, :func:`_expand_dominant` or the difference division
-never loads it: ``cyclic-strata certify 3 7`` runs in about 100 ms and 17 MB
-instead of 165 ms and 30 MB (2 cores, Python 3.11).
+reaches a packed kernel, the packed path of :func:`_expand_dominant` or the
+difference division never loads it: ``cyclic-strata certify 3 7`` runs in
+about 100 ms and 17 MB instead of 165 ms and 30 MB (2 cores, Python 3.11).
 
 Sums known to be symmetric
 --------------------------
 :func:`_symmetric_sum_of_products` is for a sum that the caller knows to be
 symmetric in variables ``1..n`` and homogeneous of degree ``d``.  A symmetric
-polynomial is fixed by its terms at the dominant monomials, the exponent
-vectors ``a_1 >= ... >= a_n`` of degree ``d`` (the partitions of ``d`` with at
-most ``n`` parts; Macdonald, *Symmetric Functions*, I.6:
-``s_L = sum K_(L,mu) m_mu``).  So :func:`_sum_at` computes only those
-coefficients, each exactly, as ``sum(sign * a[m] * b[t - m])`` over the terms
-m of the shorter factor that divide t, and :func:`_expand_dominant` copies
-each one to every distinct permutation of its exponent vector.  The result
-equals the full sum whenever the sum is symmetric; nothing here checks that,
-so only sums symmetric by construction may take this path.  In ``schur``
-they are the full-window left minors of the Jacobi-Trudi matrix and the
-split routes' Laplace sums, all polynomials in the ``h_m(t_1..t_g)``, and
-the minors of the split routes' right-hand determinants, polynomials in the
-``h_m(t_(k+1)..t_g)`` that are expanded in ``t_1..t_(g-k)``.  For ``(3, 7)``
-the 64 left minors hold 49,943 terms, 462 of them dominant; the full sums
-took 8.1 M term pairs, and the sums at the 897 dominant targets take 0.48 M.
+polynomial is fixed by its *dominant form*, its terms at the partitions
+``a_1 >= ... >= a_n`` (Macdonald, *Symmetric Functions*, I.6).  Each piece
+``(sign, a, b)`` gives a in full and a symmetric B by its dominant form b,
+and :func:`_sum_at` returns the sum's dominant form: at each partition t of
+``d``, ``sum(sign * a[m] * b[s])`` over the terms m of a that divide t, s
+being ``t - m`` sorted.  So sums of such sums never leave dominant form, and
+:func:`_expand_dominant`, which copies each coefficient to every permutation
+of its exponent vector, runs only where a polynomial is needed in full.
+Nothing checks that a sum is symmetric, so only sums symmetric by
+construction may take this path: in ``schur``, the Jacobi-Trudi minors and
+the split routes' sums, polynomials in the ``h_m``.  The 64 left minors of
+``(3, 7)`` hold 462 dominant terms (49,943 expanded), the 128 of ``(3, 8)``
+1,638 (787,488).
 
 :func:`_sum_at` tests ``m <= t`` with a guard bit atop every field, on keys
 repacked into fields of ``bit_length(max exponent) + 1`` bits so that seven
-and more variables fit one int64, and looks ``t - m`` up in b's sorted
-repacked keys with ``searchsorted``.  It runs in numpy, in blocks of at most
-``_BLOCK_PAIRS`` pairs, when the repacked keys fit 63 bits, every
-coefficient is an ``int``, no target's sum can leave int64
-(``sum(len(a) * max|a| * max|b|) < 2**63``), and the target pairs number at
-least 1,500 and at least twice the terms of the b factors, which numpy reads
-and sorts; otherwise it runs an exact dict loop.  On the Trudi sums of eight
-curves with g <= 6 that rule took 112.8 ms in all, the faster path of every
-sum 112.8 ms, and the 1,500-pair cutoff alone 119.2 ms (2 cores, Python
-3.11).  :func:`det`, and with it ``schur_tail_trudi`` and the
-bialternant's alternant, stays generic: a tail column j reads ``t_j..t_g``
-and an alternant entry is one monomial, so a cofactor row of those matrices
-is not symmetric in the variables it uses.
+and more variables fit one int64.  numpy sorts the fields of each difference
+that passes and looks it up in b's sorted keys with ``searchsorted``; the
+dict loop keeps a memo per piece from difference to coefficient.  numpy
+runs, in blocks of at most ``_BLOCK_PAIRS`` pairs, when the keys fit 63
+bits, every coefficient is an ``int``, no target's sum can leave int64
+(``sum(len(a) * max|a| * max|b|) < 2**63``) and the target pairs number at
+least 1,500: on the 191 sums of a ``routes`` round that took 41.2 ms, the
+faster path of each 40.5 ms.  :func:`_expand_dominant` writes fewer than
+1,500 terms in a dict loop: 5.9 ms on a round's 61 expansions, the faster
+path of each 5.1 ms (2 cores, Python 3.11).
+
+:func:`det`, and with it ``schur_tail_trudi`` and the bialternant's
+alternant, stays generic: a tail column j reads ``t_j..t_g`` and an
+alternant entry is one monomial, so a cofactor row of those matrices is not
+symmetric in the variables it uses.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache, reduce
-from itertools import combinations, groupby
-from math import prod
-from operator import or_
+from itertools import combinations
+from math import factorial, prod
+from operator import lt, mul, or_
 from types import MappingProxyType
 from typing import TYPE_CHECKING, Iterable, Mapping, Union
 
@@ -408,12 +408,10 @@ def _sum_of_products(family: str, pieces) -> "SparsePolynomial":
 # -- sums known to be symmetric ------------------------------------------------
 
 
-def _targeted_layout(pieces: list, targets: list):
-    """``(nvars, width)`` of the packed sum at ``targets``, or None for the
+def _targeted_layout(pieces: list, targets: list, nvars: int):
+    """``(fields, width)`` of the packed sum at ``targets``, or None for the
     dict loop."""
-    # numpy also reads and sorts every term of b, so it must pay for those too
-    pairs = len(targets) * sum(len(a) for _, a, _ in pieces)
-    if pairs < max(_VECTOR_CUTOFF, 2 * sum(len(b) for _, _, b in pieces)):
+    if len(targets) * sum(len(a) for _, a, _ in pieces) < _VECTOR_CUTOFF:
         return None
     bound = 0
     used = reduce(or_, targets)
@@ -424,39 +422,45 @@ def _targeted_layout(pieces: list, targets: list):
         # a target's share of a piece adds at most len(a) products
         bound += len(a) * max(map(abs, a.values())) * max(map(abs, b.values()))
         used |= reduce(or_, a) | reduce(or_, b)
-    nvars = max(1, _fields(used))
-    width = max(((used >> (_BITS * v)) & _FIELD).bit_length() for v in range(nvars)) + 1
-    if bound >= 2**63 or nvars * width > 63:
+    fields = max(nvars, _fields(used))
+    width = max(((used >> (_BITS * v)) & _FIELD).bit_length() for v in range(fields)) + 1
+    if bound >= 2**63 or fields * width > 63:
         return None
-    return nvars, width
+    return fields, width
 
 
 def _sum_at_vectorized(pieces: list, targets: list, layout) -> dict:
     import numpy as np
 
-    nvars, width = layout
+    fields, width = layout
     # Repacked keys: ``width``-bit fields whose top bit is a guard, as in
     # _sum_at_dict, so t - m clears a field's guard bit exactly when m
-    # exceeds t in that field.  Such a difference matches no key of b once
-    # the guards are flipped back; dropping it first spares its lookup.
-    weights = np.left_shift(1, width * np.arange(nvars, dtype=np.int64))
+    # exceeds t in that field.  Such a difference matches no key of b;
+    # dropping it first spares its sort and lookup.
+    shifts = width * np.arange(fields, dtype=np.int64)
+    weights = np.left_shift(1, shifts)
     guard = int(weights.sum()) << (width - 1)
-    guarded = (_exponents(targets, nvars) @ weights) | guard
+    guarded = (_exponents(targets, fields) @ weights) | guard
     total = np.zeros(len(targets), np.int64)
     for sign, a, b in pieces:
-        ka = _exponents(a, nvars) @ weights
+        ka = _exponents(a, fields) @ weights
         ca = np.fromiter(a.values(), np.int64, len(a))
-        kb = _exponents(b, nvars) @ weights
+        kb = _exponents(b, fields) @ weights
         order = np.argsort(kb)
         kb = kb[order]
         cb = np.fromiter(b.values(), np.int64, len(b))[order]
         rows = max(1, _BLOCK_PAIRS // len(a))
         for lo in range(0, len(targets), rows):
-            diff = guarded[lo:lo + rows, None] - ka
-            row, col = np.nonzero((diff & guard) == guard)
-            diff = diff[row, col] ^ guard
-            at = np.minimum(np.searchsorted(kb, diff), len(kb) - 1)
-            hit = kb[at] == diff
+            diff = (guarded[lo:lo + rows, None] - ka).ravel()
+            divides = np.flatnonzero((diff & guard) == guard)
+            row, col = np.divmod(divides, len(a))
+            # each difference's fields sorted ascending, then repacked
+            # largest first: the key of its dominant monomial
+            exps = (diff[divides, None] >> shifts) & ((1 << (width - 1)) - 1)
+            exps.sort(axis=1)
+            dominant = exps @ weights[::-1]
+            at = np.minimum(np.searchsorted(kb, dominant), len(kb) - 1)
+            hit = kb[at] == dominant
             if not hit.any():
                 continue
             index, sums = _reduce_runs(row[hit], ca[col[hit]] * cb[at[hit]])
@@ -464,35 +468,38 @@ def _sum_at_vectorized(pieces: list, targets: list, layout) -> dict:
     return {t: c for t, c in zip(targets, total.tolist()) if c}
 
 
-def _sum_at_dict(pieces: list, targets: list) -> dict:
+def _sum_at_dict(pieces: list, targets: list, nvars: int) -> dict:
     guard = _guard_mask(reduce(or_, (reduce(or_, a) for _, a, _ in pieces), reduce(or_, targets, 0)))
+    shifts = range(0, _BITS * nvars, _BITS)
     out = dict.fromkeys(targets, 0)
     for sign, a, b in pieces:
-        get = b.get
+        at: dict[int, Coeff] = {}  # guarded difference -> b at its sorted key, or 0
         for t in out:
             guarded = t | guard
             acc = 0
             for m, c in a.items():
                 d = guarded - m
                 if d & guard == guard:
-                    c2 = get(d ^ guard)
-                    if c2 is not None:
-                        acc += c * c2
+                    c2 = at.get(d)
+                    if c2 is None:
+                        key = 0
+                        for e in sorted([(d >> s) & _MAX_EXP for s in shifts]):
+                            key = key << _BITS | e  # the largest lands in field 1
+                        c2 = at[d] = b.get(key, 0)
+                    acc += c * c2
             out[t] += acc if sign > 0 else -acc
     return {t: c for t, c in out.items() if c}
 
 
-def _sum_at(family: str, pieces, targets) -> "SparsePolynomial":
-    """The terms at the monomial keys ``targets`` of ``sum(sign * a * b)``.
-
-    Each is ``sum(sign * a[m] * b[t - m])`` over the terms m of the shorter
-    factor that divide t; no other monomial of the sum is computed.
-    """
-    terms = [(s, a, b) if len(a) <= len(b) else (s, b, a)
-             for s, a, b in _piece_terms(family, pieces)]
+def _sum_at(family: str, pieces, targets, nvars: int) -> "SparsePolynomial":
+    """The terms at ``targets``, keys in variables 1..nvars, of
+    ``sum(sign * a * B)``, each piece ``(sign, a, b)`` giving B, symmetric in
+    1..nvars, by its dominant form b: ``sum(sign * a[m] * b[s])`` over the
+    terms m of a that divide t, s the key of t - m sorted."""
+    terms = _piece_terms(family, pieces)
     targets = list(dict.fromkeys(targets))
-    layout = _targeted_layout(terms, targets)
-    out = _sum_at_vectorized(terms, targets, layout) if layout else _sum_at_dict(terms, targets)
+    layout = _targeted_layout(terms, targets, nvars)
+    out = _sum_at_vectorized(terms, targets, layout) if layout else _sum_at_dict(terms, targets, nvars)
     return SparsePolynomial._raw(family, out)
 
 
@@ -540,21 +547,39 @@ def _arrangements(runs: tuple[int, ...]) -> np.ndarray:
     return rows
 
 
+@lru_cache(maxsize=128)
+def _orbit_units(runs: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
+    """``_arrangements`` for the dict loop: per arrangement, the sum of the
+    unit keys of each run's variables."""
+    rows = [((), tuple(range(sum(runs))))]  # (units so far, free variables)
+    for length in runs:
+        rows = [(units + (sum(1 << (_BITS * v) for v in chosen),),
+                 tuple(v for v in free if v not in chosen))
+                for units, free in rows for chosen in combinations(free, length)]
+    return tuple(units for units, _ in rows)
+
+
 def _expand_dominant(form: "SparsePolynomial", nvars: int) -> "SparsePolynomial":
     """The symmetric polynomial in variables 1..nvars whose terms at
     nonincreasing exponent vectors are the terms of ``form``: each
-    coefficient goes to every distinct permutation of its exponent vector."""
+    coefficient goes to every distinct permutation of its exponent vector.
+    Fewer than ``_VECTOR_CUTOFF`` of them take a dict loop."""
+    orbits: dict[tuple[int, ...], list] = {}  # run lengths -> (run values, coefficient)
+    shifts = range(0, _BITS * nvars, _BITS)
+    for key, c in form._terms.items():
+        exps = [(key >> s) & _FIELD for s in shifts]
+        if key >> (_BITS * nvars) or any(map(lt, exps, exps[1:])):
+            raise ValueError(f"{_decode(key)} is not a nonincreasing exponent vector")
+        values = sorted(set(exps), reverse=True)
+        orbits.setdefault(tuple(map(exps.count, values)), []).append((values, c))
+    size = sum(len(members) * factorial(nvars) // prod(map(factorial, runs))
+               for runs, members in orbits.items())
+    if size < _VECTOR_CUTOFF:
+        return SparsePolynomial._raw(form.family, {
+            sum(map(mul, values, units)): c for runs, members in orbits.items()
+            for units in _orbit_units(runs) for values, c in members})
     import numpy as np
 
-    orbits: dict[tuple[int, ...], list] = {}
-    for key, c in form._terms.items():
-        exps = [(key >> (_BITS * v)) & _FIELD for v in range(nvars)]
-        if key >> (_BITS * nvars) or any(x < y for x, y in zip(exps, exps[1:])):
-            raise ValueError(f"{_decode(key)} is not a nonincreasing exponent vector")
-        runs = [(e, len(list(run))) for e, run in groupby(exps)]
-        orbits.setdefault(tuple(n for _, n in runs), []).append(([e for e, _ in runs], c))
-    if not orbits:
-        return SparsePolynomial.zero(form.family)
     exps, coeffs = [], []
     for runs, members in orbits.items():
         slots = _arrangements(runs)
@@ -564,10 +589,9 @@ def _expand_dominant(form: "SparsePolynomial", nvars: int) -> "SparsePolynomial"
 
 
 def _symmetric_sum_of_products(family: str, pieces, degree: int, nvars: int) -> "SparsePolynomial":
-    """``_sum_of_products`` of a sum known to be symmetric in variables
-    1..nvars and homogeneous of ``degree``: computed at its dominant
-    monomials only, then expanded."""
-    return _expand_dominant(_sum_at(family, pieces, _dominant_keys(degree, nvars)), nvars)
+    """The dominant form of a sum known to be symmetric in variables
+    1..nvars and homogeneous of ``degree`` (:func:`_sum_at`)."""
+    return _sum_at(family, pieces, _dominant_keys(degree, nvars), nvars)
 
 
 class SparsePolynomial:

@@ -18,20 +18,21 @@ computed four independent ways, all of which must agree exactly:
 
 The three Trudi routes are the bialternant's independent oracles; the
 Jacobi-Trudi and split routes share the full-window minors ``_left_minors``.
-Each of those minors is a polynomial in the ``h_m(t_1..t_g)``, and each
-split route's Laplace sum over row subsets is ``s_L`` itself, so all of them
-are symmetric in ``t_1..t_g``.  The right-hand minors of the split route at
-k are symmetric in ``t_(k+1)..t_g``: it expands them in ``t_1..t_(g-k)``,
-bottom-up with one memo for all its complements, and moves them up k
-variables.  ``_symmetric_sum_of_products`` computes each such sum only at
-the partitions of its degree and expands them by permutation, which is
-exact for a symmetric polynomial (Macdonald, I.6).  At genus 7, (3, 8),
-``schur_jacobi_trudi`` went from 200 to 1.0 s that way, and the split routes
-k = 1..6 from 1.13-1.33 to 0.24-0.28 s (2 cores, Python 3.11).  ``det``, and
-so ``schur_tail_trudi`` and the bialternant's alternant, stays generic: a
-tail column j reads ``t_j..t_g`` and an alternant entry is one monomial, so
-their cofactor rows are not symmetric, and those two routes share no code
-with the symmetric kernel they check.  The bialternant divides by the whole
+Those minors, polynomials in the ``h_m(t_1..t_g)``, and each split route's
+Laplace sum, ``s_L`` itself, are symmetric in ``t_1..t_g``; the split
+route's right-hand minors at k, computed in ``t_1..t_(g-k)`` bottom-up with
+one memo, are symmetric in ``t_(k+1)..t_g``.  So each is kept by its
+dominant form, its terms at the partitions of its degree (Macdonald, I.6),
+which ``_symmetric_sum_of_products`` builds from the expanded h entries and
+the dominant forms below it.  ``_expand_dominant`` writes out only what a
+route returns, the Jacobi-Trudi minor once and kept with the minors, and
+each complement's right-hand minor.  At (3, 8), genus 7, the left minors
+hold 1,638 terms instead of 787,488, and ``schur_jacobi_trudi`` went from
+1.03-1.30 to 0.36-0.44 s and from 126 to 51 MB of peak RSS (2 cores,
+Python 3.11).  ``det``, and so ``schur_tail_trudi`` and the bialternant's
+alternant, stays generic: a tail column j reads ``t_j..t_g`` and an
+alternant entry is one monomial, so their cofactor rows are not symmetric,
+and those two routes share no code with the symmetric kernel they check.  The bialternant divides by the whole
 Vandermonde in one ``exact_divide`` call, 0.12-0.13 s at (3, 8) against
 0.63-0.70 s one factor per call.
 
@@ -80,8 +81,9 @@ Large genus
 :func:`schur_in_T` expands the power-sum form up to genus ``EXPANSION_GATE``
 unless ``max_expand_genus`` raises the gate.  The gate bounds the expanded form
 and the walk that builds it, which grows with it: ``schur 2 21
---max-expand-genus 10`` takes about 1.9 s for 4,114 terms, in a walk over
-about 193,000 states whose tableau counts mostly miss their cache.
+--max-expand-genus 10`` takes about 0.7 s for 4,114 terms, in a walk over
+about 193,000 states that meets 16,796 bead masks; a cache local to the
+walk counts each one's tableaux once (1.9 s with the shared LRU alone).
 ``SchurForm.as_t`` builds the ``t``-form only when it is read.  The certifier
 labels its exact certificates ``"expanded"`` at genus <= ``EXPANSION_GATE``
 and ``"sampled"`` above it.  Above the gate the ``*_value`` functions
@@ -97,16 +99,19 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cache, lru_cache
 from itertools import combinations
 from math import factorial, lcm, prod
 
 from .polynomials import (
     _BITS,
+    _MAX_EXP,
     InexactDivisionError,
     MultiIndex,
     SparsePolynomial,
     _det_bareiss,
+    _dominant_keys,
+    _expand_dominant,
     _symmetric_sum_of_products,
     det,
     exact_divide,
@@ -160,9 +165,15 @@ def _h(n: int, lo: int, hi: int) -> SparsePolynomial:
         return SparsePolynomial.zero("t")
     if n == 0:
         return SparsePolynomial.one("t")
+    if n > _MAX_EXP:
+        raise OverflowError(f"exponent {n} of h_{n} exceeds {_MAX_EXP}")
     if lo == hi:
         return SparsePolynomial.variable("t", lo, n)
-    return _h(n, lo + 1, hi) + SparsePolynomial.variable("t", lo) * _h(n - 1, lo, hi)
+    # h_n(t_lo..t_hi) = h_n(t_(lo+1)..t_hi) + t_lo * h_(n-1)(t_lo..t_hi): the
+    # terms free of t_lo and the rest, every coefficient 1
+    unit = 1 << (_BITS * (lo - 1))
+    return SparsePolynomial._raw("t", {**_h(n, lo + 1, hi)._terms,
+                                       **{m + unit: 1 for m in _h(n - 1, lo, hi)._terms}})
 
 
 def h_complete(n: int, lo: int, hi: int) -> SparsePolynomial:
@@ -217,8 +228,10 @@ def schur_bialternant(diagram: YoungDiagram, g: int) -> SparsePolynomial:
 
 
 @lru_cache(maxsize=4)
-def _left_minors(parts: tuple[int, ...], g: int) -> dict:
-    """Determinants over full-window columns 1..k for every sorted row subset.
+def _left_minors(parts: tuple[int, ...], g: int) -> tuple[dict, SparsePolynomial]:
+    """Determinants over full-window columns 1..k for every sorted row subset,
+    each by its terms at nonincreasing exponent vectors, and the k = g one
+    expanded.
 
     Key: tuple of 1-based row indices S with |S| = k; value: the determinant
     of rows S against columns 1..k with entries h_(parts_i + j - i) over the
@@ -236,13 +249,13 @@ def _left_minors(parts: tuple[int, ...], g: int) -> dict:
                  minors[subset[:p] + subset[p + 1:]])
                 for p, i in enumerate(subset)
             ], degree, g)
-    return minors
+    return minors, _expand_dominant(minors[tuple(range(1, g + 1))], g)
 
 
 def schur_jacobi_trudi(diagram: YoungDiagram, g: int) -> SparsePolynomial:
     """Determinant |h_(L_i + j - i)| over the full variable window."""
     parts = _padded_parts(diagram, g)
-    return _left_minors(parts, g)[tuple(range(1, g + 1))]
+    return _left_minors(parts, g)[1]
 
 
 def schur_tail_trudi(diagram: YoungDiagram, g: int) -> SparsePolynomial:
@@ -262,19 +275,22 @@ def schur_split_trudi(diagram: YoungDiagram, g: int, k: int) -> SparsePolynomial
 
     Evaluated by Laplace expansion along the first k columns so that the
     expensive full-window minors are shared across all split points; the
-    right-hand determinants are expanded in t_1..t_(g-k).
+    right-hand determinants are computed in t_1..t_(g-k).
     """
     if not 0 <= k <= g:
         raise ValueError(f"split point must lie in [0, {g}], got {k}")
     parts = _padded_parts(diagram, g)
+    minors, full = _left_minors(parts, g)
     if k in (0, g):
         # Both degenerate splits coincide with the plain Jacobi-Trudi matrix.
-        return schur_jacobi_trudi(diagram, g)
+        return full
     width, shift = g - k, _BITS * k
-    # h_n(t_(k+1)..t_g) with its variables moved down to t_1..t_(g-k)
-    lowered = {n: SparsePolynomial._raw("t", {m >> shift: c for m, c in _h(n, k + 1, g)._terms.items()})
-               for n in range(-g, parts[0] + g)}
     memo: dict[tuple, SparsePolynomial] = {}
+
+    @cache
+    def lowered(n: int) -> SparsePolynomial:
+        # h_n(t_(k+1)..t_g) with its variables moved down to t_1..t_(g-k)
+        return SparsePolynomial._raw("t", {m >> shift: c for m, c in _h(n, k + 1, g)._terms.items()})
 
     def right_minor(rows: tuple[int, ...], cols: tuple[int, ...]) -> SparsePolynomial:
         # rows against columns k + cols, expanded bottom-up as det does;
@@ -282,18 +298,17 @@ def schur_split_trudi(diagram: YoungDiagram, g: int, k: int) -> SparsePolynomial
         got = memo.get((rows, cols))
         if got is None:
             top = parts[rows[0] - 1] + k - rows[0]
-            if len(rows) == 1:
-                got = lowered[top + cols[0]]
+            if len(rows) == 1:  # h_n at its dominant terms, the partitions of n
+                got = SparsePolynomial._raw("t", dict.fromkeys(_dominant_keys(top + cols[0], width), 1))
             else:
                 got = _symmetric_sum_of_products("t", [
-                    (-1 if pos % 2 else 1, lowered[top + c],
+                    (-1 if pos % 2 else 1, lowered(top + c),
                      right_minor(rows[1:], cols[:pos] + cols[pos + 1:]))
                     for pos, c in enumerate(cols)
                 ], sum(parts[i - 1] + k - i for i in rows) + sum(cols), width)
             memo[rows, cols] = got
         return got
 
-    minors = _left_minors(parts, g)
     pieces = []
     for subset in combinations(range(1, g + 1), k):
         left = minors[subset]
@@ -301,10 +316,12 @@ def schur_split_trudi(diagram: YoungDiagram, g: int, k: int) -> SparsePolynomial
             continue
         complement = tuple(i for i in range(1, g + 1) if i not in subset)
         right = right_minor(complement, tuple(range(1, width + 1)))
+        if width > 1:  # in one variable the dominant terms are all the terms
+            right = _expand_dominant(right, width)
         shifted = SparsePolynomial._raw("t", {m << shift: c for m, c in right._terms.items()})
         sign = -1 if (sum(subset) + k * (k + 1) // 2) % 2 else 1
-        pieces.append((sign, left, shifted))
-    return _symmetric_sum_of_products("t", pieces, sum(parts), g)
+        pieces.append((sign, shifted, left))
+    return _expand_dominant(_symmetric_sum_of_products("t", pieces, sum(parts), g), g)
 
 
 def h_recursion_check(n: int, m: int | None, l1: int, l2: int) -> tuple[bool, bool, bool]:
@@ -396,9 +413,12 @@ def _character_form(state: dict[int, int], hooks, size: int) -> SparsePolynomial
     """
     g = len(hooks)
     terms = {}
+    # one walk meets few masks many times; _tableaux's LRU keeps shapes
+    # across walks
+    tableaux = cache(lambda mask: _tableaux(_partition(mask)))
 
     def visit(state, size, index, last):
-        chi = sum(c * _tableaux(_partition(mask)) for mask, c in state.items())
+        chi = sum(c * tableaux(mask) for mask, c in state.items())
         if chi:
             counts = Counter(index)
             counts[g] = size

@@ -763,66 +763,100 @@ def _at_targets(pieces, targets):
     return {m: full[m] for m in targets if m in full}
 
 
-def _targeted_layout_of(pieces, targets):
-    shorter_first = [(s, a._terms, b._terms) if len(a) <= len(b) else (s, b._terms, a._terms)
-                     for s, a, b in pieces]
-    return _targeted_layout(shorter_first, [_encode(m) for m in targets])
+def _targeted_layout_of(pieces, targets, nvars):
+    return _targeted_layout([(s, a._terms, b._terms) for s, a, b in pieces],
+                            [_encode(m) for m in targets], nvars)
+
+
+def _random_symmetric(rng, n, nvars, max_exp, coeff):
+    """A symmetric polynomial in variables 1..nvars as ``(form, expanded)``:
+    n random terms at nonincreasing exponent vectors of at most three
+    nonzero parts, so that each orbit stays small, and their expansion."""
+    terms = {}
+    for _ in range(n):
+        parts = sorted((rng.randint(1, max_exp) for _ in range(rng.randint(0, min(3, nvars)))),
+                       reverse=True)
+        terms[MultiIndex(enumerate(parts, start=1))] = coeff(rng)
+    form = Poly("t", terms)
+    return form, _expand_dominant(form, nvars)
+
+
+def _dominant_part(p, nvars):
+    """The terms of p at nonincreasing exponent vectors of variables 1..nvars."""
+    return Poly._raw(p.family, {k: c for k, c in p._terms.items()
+                                if list(_decode_dense(k, nvars)) == sorted(_decode_dense(k, nvars),
+                                                                           reverse=True)})
 
 
 def test_sum_at_matches_the_full_sum_at_its_targets(monkeypatch):
+    # b gives a symmetric B by its dominant terms; at every target the sum
+    # equals the oracle's sum of sign * a * B, on either path, in blocks of
+    # one target row, of a few and of all
     rng = random.Random(67)
-    for nvars, size, packed in [(4, 60, True), (4, 5, False), (8, 50, True), (8, 4, False)]:
+
+    def ints(rng):
+        return rng.randint(-60, 60)
+
+    def fractions(rng):
+        return Fraction(rng.randint(-60, 60), rng.randint(2, 9))
+
+    for nvars, size, coeff, count, packed in [
+            (4, 40, ints, 400, True), (4, 4, ints, 20, False), (8, 12, ints, 400, True),
+            (8, 3, ints, 20, False), (4, 40, fractions, 400, False), (8, 12, fractions, 400, False)]:
         polys = [_random_poly(rng, rng.randint(size // 2, size), nvars, 4, -60, 60)
-                 for _ in range(5)]
+                 for _ in range(4)]
+        symmetric = [_random_symmetric(rng, rng.randint(1, 4), nvars, 3, coeff) for _ in range(3)]
         for trial in range(3):
-            pieces = [((-1) ** (i + trial), rng.choice(polys), rng.choice(polys))
+            chosen = [((-1) ** (i + trial), rng.choice(polys), rng.choice(symmetric))
                       for i in range(rng.randint(2, 4))]
-            full = _oracle_sum(pieces)
-            # targets the sum reaches, and three it does not: an exponent
-            # above every product's, a variable no factor uses, the constant
-            targets = rng.sample(sorted(full), len(full) // 2) + [
-                MultiIndex([(1, 9)]), MultiIndex([(nvars + 1, 1), (1, 2)]), MultiIndex()]
-            expected = {m: full[m] for m in targets if m in full}
-            assert len(expected) == len(full) // 2
-            assert (_targeted_layout_of(pieces, targets) is not None) == packed
+            pieces = [(sign, a, form) for sign, a, (form, _) in chosen]
+            full = _oracle_sum([(sign, a, expanded) for sign, a, (_, expanded) in chosen])
+            # targets the sum reaches, and two it does not: exponents above
+            # every product's
+            reached = rng.sample(sorted(full), min(count, len(full) // 2))
+            targets = reached + [MultiIndex([(1, 30)]), MultiIndex([(nvars, 30), (1, 1)])]
+            expected = {m: full[m] for m in reached}
+            assert (_targeted_layout_of(pieces, targets, nvars) is not None) == packed
             for block in (1, 7, 1 << 18):
                 monkeypatch.setattr(polynomials, "_BLOCK_PAIRS", block)
-                got = _sum_at("t", pieces, [_encode(m) for m in targets])
+                got = _sum_at("t", pieces, [_encode(m) for m in targets], nvars)
                 assert got.family == "t" and dict(got.terms) == expected, (nvars, size, block)
 
 
 def test_sum_at_reads_zero_where_no_pair_reaches():
     a = T1 + T2
-    b = T1 * T2 - T3
+    b = T1 * T2  # the dominant form of t1*t2 in two variables
     target = _encode(MultiIndex([(1, 3)]))
-    assert _sum_at("t", [(1, a, b)], [target]).is_zero()
-    assert _sum_at("t", [(1, a, b), (-1, b, a)], [_encode(MultiIndex([(1, 2), (2, 1)]))]).is_zero()
-    assert _sum_at("t", [(1, a, b)], []).is_zero()
-    assert _sum_at("t", [(1, a, Poly.zero("t"))], [target]).is_zero()
+    assert _sum_at("t", [(1, a, b)], [target], 2).is_zero()
+    assert _sum_at("t", [(1, a, b), (-1, a, b)], [_encode(MultiIndex([(1, 2), (2, 1)]))], 2).is_zero()
+    assert _sum_at("t", [(1, a, b)], [], 2).is_zero()
+    assert _sum_at("t", [(1, a, Poly.zero("t"))], [target], 2).is_zero()
 
 
 def test_sum_at_coefficient_bound_takes_the_exact_loop():
-    # 63 targets t1^0..t1^62 against 32-term factors: 2,016 term pairs.  A
-    # target's sum adds at most 32 = 2^5 products, so max|a| * max|b| must
-    # stay below 2^58 for int64.
+    # 63 targets t1^0..t1^62 against 32-term factors in one variable, where
+    # every polynomial is symmetric: 2,016 term pairs.  A target's sum adds
+    # at most 32 = 2^5 products, so max|a| * max|b| must stay below 2^58 for
+    # int64.
     targets = [MultiIndex([(1, d)]) for d in range(63)]
     for ca, cb, packed in [(2**29, 2**29 - 1, True), (2**29, 2**29, False),
                            (-(2**40), 2**40, False)]:
         a = Poly("t", {MultiIndex([(1, i)]): ca for i in range(32)})
         b = Poly("t", {MultiIndex([(1, j)]): cb for j in range(32)})
         pieces = [(1, a, b)]
-        assert (_targeted_layout_of(pieces, targets) is not None) == packed
-        got = dict(_sum_at("t", pieces, [_encode(m) for m in targets]).terms)
+        assert (_targeted_layout_of(pieces, targets, 1) is not None) == packed
+        got = dict(_sum_at("t", pieces, [_encode(m) for m in targets], 1).terms)
         assert got == _at_targets(pieces, targets)
         assert got[MultiIndex([(1, 31)])] == 32 * ca * cb
     assert 32 * 2**40 * 2**40 > 2**63
     # Fractions take the exact loop as well
-    a = _random_poly(random.Random(71), 40, 3, 4, -9, 9)
-    pieces = [(1, a, a.scale(Fraction(1, 3))), (-1, a, a)]
-    targets = sorted(_oracle_sum(pieces))
-    assert _targeted_layout_of(pieces, targets) is None
-    assert dict(_sum_at("t", pieces, [_encode(m) for m in targets]).terms) == _at_targets(
-        pieces, targets)
+    rng = random.Random(71)
+    a = _random_poly(rng, 40, 3, 4, -9, 9)
+    form, expanded = _random_symmetric(rng, 6, 3, 4, lambda rng: Fraction(rng.randint(1, 9), 3))
+    targets = sorted(_oracle_sum([(1, a, expanded)]))
+    assert _targeted_layout_of([(1, a, form), (-1, a, form)], targets, 3) is None
+    got = _sum_at("t", [(1, a, form), (-1, a, form.scale(2))], [_encode(m) for m in targets], 3)
+    assert dict(got.terms) == _at_targets([(-1, a, expanded)], targets)
 
 
 def test_sum_at_family_check():
@@ -830,7 +864,7 @@ def test_sum_at_family_check():
     for family, pieces in [("t", [(1, T1, u)]), ("u", [(1, T1, T2)]),
                            ("t", [(1, Poly.zero("u"), T1)])]:
         with pytest.raises(FamilyMismatchError):
-            _sum_at(family, pieces, [0])
+            _sum_at(family, pieces, [0], 3)
 
 
 def _orbit_terms(exps, c):
@@ -879,7 +913,8 @@ def _decode_dense(key, nvars):
 
 
 def test_symmetric_sum_of_products_matches_the_full_sum():
-    # Products of power sums are symmetric and homogeneous.
+    # Products of power sums are symmetric and homogeneous; each piece's
+    # second factor is given by its dominant terms, and so is the sum.
     for nvars, packed in [(3, False), (6, True), (7, True)]:
         p = {m: Poly("t", {MultiIndex([(v, m)]): 1 for v in range(1, nvars + 1)})
              for m in range(1, 5)}
@@ -888,9 +923,12 @@ def test_symmetric_sum_of_products_matches_the_full_sum():
         cube = square * p[1]
         pieces = [(1, square * square, (square * square).scale(3)), (-1, p[2] * p[3], p[3]),
                   (1, p[4] * p[1], cube), (-1, cube * cube, square), (1, one, p[4] * p[4])]
+        dominant = [(sign, a, _dominant_part(b, nvars)) for sign, a, b in pieces]
         targets = [MultiIndex((v + 1, e) for v, e in enumerate(_decode_dense(k, nvars)))
                    for k in _dominant_keys(8, nvars)]
-        assert (_targeted_layout_of(pieces, targets) is not None) == packed
+        assert (_targeted_layout_of(dominant, targets, nvars) is not None) == packed
         full = _sum_of_products("t", pieces)
-        assert _symmetric_sum_of_products("t", pieces, 8, nvars) == full
+        got = _symmetric_sum_of_products("t", dominant, 8, nvars)
+        assert got == _dominant_part(full, nvars)
+        assert _expand_dominant(got, nvars) == full
         assert len(full) > 0

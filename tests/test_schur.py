@@ -16,7 +16,7 @@ from oracles import (
 )
 from test_acceptance import GENUS_6_SIGNATURES
 from cyclic_strata import schur
-from cyclic_strata.polynomials import MultiIndex, SparsePolynomial as Poly, det
+from cyclic_strata.polynomials import MultiIndex, SparsePolynomial as Poly, _expand_dominant, det
 from cyclic_strata.schur import (
     ExpansionLimitError,
     _beads,
@@ -76,6 +76,15 @@ def test_h_complete_examples():
     assert h_complete(1, 1, g) == sum(
         (Poly.variable("t", v) for v in range(2, g + 1)), Poly.variable("t", 1)
     )
+
+
+def test_h_complete_rejects_an_exponent_above_511():
+    # 511 is the largest exponent a key holds
+    assert h_complete(511, 2, 2) == Poly.variable("t", 2, 511)
+    assert len(h_complete(300, 1, 2)) == 301
+    for lo, hi in [(1, 1), (1, 2), (2, 4)]:
+        with pytest.raises(OverflowError):
+            h_complete(512, lo, hi)
 
 
 def test_h_complete_against_generating_function():
@@ -214,18 +223,34 @@ def test_route_equality_non_curve_diagram():
 
 
 def test_dominant_minors_and_split_sums_match_the_generic_oracle():
-    # Each left minor and Laplace sum is computed at its dominant monomials
-    # and expanded; the oracle multiplies out every monomial.
+    # Each left minor is kept by its terms at nonincreasing exponent vectors
+    # and each Laplace sum computed at them; expanded, they are the oracle's
+    # sums over every monomial.
     for r, s in GENUS_6_SIGNATURES:
         sig = CurveSignature(r, s)
         g = sig.genus
         lam = young_diagram(sig)
         parts = schur._padded_parts(lam, g)
-        minors = schur._left_minors(parts, g)
+        minors, full = schur._left_minors(parts, g)
+        generic = generic_left_minors(parts, g)
         assert len(minors) == 2**g
-        assert minors == generic_left_minors(parts, g), (r, s)
+        for subset, minor in minors.items():
+            assert _expand_dominant(minor, g) == generic[subset], (r, s, subset)
+        assert full == generic[tuple(range(1, g + 1))]
         for k in range(1, g):
             assert schur_split_trudi(lam, g, k) == generic_split_sum(parts, g, k), (r, s, k)
+
+
+def test_left_minors_keep_only_their_dominant_terms():
+    # (3, 7): the 64 minors hold 49,943 terms once expanded
+    sig = CurveSignature(3, 7)
+    g = sig.genus
+    lam = young_diagram(sig)
+    minors, full = schur._left_minors(schur._padded_parts(lam, g), g)
+    assert len(minors) == 64
+    assert sum(map(len, minors.values())) == 462
+    assert sum(len(_expand_dominant(minor, g)) for minor in minors.values()) == 49943
+    assert full == schur_bialternant(lam, g) and len(full) == 1872
 
 
 def test_trudi_routes_reach_genus_7():
