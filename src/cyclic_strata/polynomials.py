@@ -146,7 +146,7 @@ symmetric in the variables it uses.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache, reduce
+from functools import cache, lru_cache, reduce
 from itertools import combinations
 from math import factorial, prod
 from operator import lt, mul, or_
@@ -905,22 +905,16 @@ def det(matrix) -> SparsePolynomial:
         for entry in row:
             if entry.family != family:
                 raise FamilyMismatchError("matrix entries span multiple families")
-    memo: dict[tuple[int, ...], SparsePolynomial] = {}
 
+    @cache
     def minor(cols: tuple[int, ...]) -> SparsePolynomial:
-        got = memo.get(cols)
-        if got is not None:
-            return got
         row = n - len(cols)
         if len(cols) == 1:
-            value = matrix[row][cols[0]]
-        else:
-            value = _sum_of_products(family, [
-                (-1 if pos % 2 else 1, matrix[row][j], minor(cols[:pos] + cols[pos + 1:]))
-                for pos, j in enumerate(cols) if not matrix[row][j].is_zero()
-            ])
-        memo[cols] = value
-        return value
+            return matrix[row][cols[0]]
+        return _sum_of_products(family, [
+            (-1 if pos % 2 else 1, matrix[row][j], minor(cols[:pos] + cols[pos + 1:]))
+            for pos, j in enumerate(cols) if not matrix[row][j].is_zero()
+        ])
 
     return minor(tuple(range(n)))
 

@@ -19,12 +19,13 @@ computed four independent ways, all of which must agree exactly:
 The three Trudi routes are the bialternant's independent oracles; the
 Jacobi-Trudi and split routes share the full-window minors ``_left_minors``.
 Those minors, polynomials in the ``h_m(t_1..t_g)``, and each split route's
-Laplace sum, ``s_L`` itself, are symmetric in ``t_1..t_g``; the split
-route's right-hand minors at k, computed in ``t_1..t_(g-k)`` bottom-up with
-one memo, are symmetric in ``t_(k+1)..t_g``.  So each is kept by its
-dominant form, its terms at the partitions of its degree (Macdonald, I.6),
-which ``_symmetric_sum_of_products`` builds from the expanded h entries and
-the dominant forms below it.  ``_expand_dominant`` writes out only what a
+Laplace sum, ``s_L`` itself, are symmetric in ``t_1..t_g``.  The split
+route's right-hand minors at k are symmetric in ``t_(k+1)..t_g``, so they are
+computed in ``t_1..t_(g-k)``, on the entries ``_h(n, 1, g - k)``, bottom-up
+with one memo per call, and moved up k variables at the end.  So each is kept
+by its dominant form, its terms at the partitions of its degree (Macdonald,
+I.6), which ``_symmetric_sum_of_products`` builds from the expanded h entries
+and the dominant forms below it.  ``_expand_dominant`` writes out only what a
 route returns, the Jacobi-Trudi minor once and kept with the minors, and
 each complement's right-hand minor.  At (3, 8), genus 7, the left minors
 hold 1,638 terms instead of 787,488, and ``schur_jacobi_trudi`` went from
@@ -32,15 +33,24 @@ hold 1,638 terms instead of 787,488, and ``schur_jacobi_trudi`` went from
 Python 3.11).  ``det``, and so ``schur_tail_trudi`` and the bialternant's
 alternant, stays generic: a tail column j reads ``t_j..t_g`` and an
 alternant entry is one monomial, so their cofactor rows are not symmetric,
-and those two routes share no code with the symmetric kernel they check.  The bialternant divides by the whole
-Vandermonde in one ``exact_divide`` call, 0.12-0.13 s at (3, 8) against
-0.63-0.70 s one factor per call.
+and those two routes share no code with the symmetric kernel they check.
+The bialternant divides by the whole Vandermonde in one ``exact_divide``
+call, 0.12-0.13 s at (3, 8) against 0.63-0.70 s one factor per call.
 
 ``h_complete(n, lo, hi)`` expands the complete homogeneous function h_n over
 the window ``t_lo..t_hi`` of the ``t`` variables and rejects any window but
 ``1 <= lo <= hi``; the symbolic routes read the same cached expansion, whose
-windows satisfy that rule by construction.  :func:`h_from_T` writes h_n in
-the scaled power sums
+windows satisfy that rule by construction.  Every window is built from the
+prefix windows ``t_1..t_w`` by one rule.  A prefix splits at m = w // 2 as
+``h_n(t_1..t_w) = sum_e h_(n-e)(t_1..t_m) h_e(t_(m+1)..t_w)``, since the
+generating function ``prod 1/(1 - z t_i)`` factors over the halves
+(Macdonald, I.2); any other window is the prefix of its width moved up
+lo - 1 variables by one key shift.  The halves share no variable, so the
+products are distinct monomials with coefficient 1 and nothing is summed.
+The recursion is as deep as log2 of the width, whatever n.  Peeling one
+variable a level would recurse as deep as the width, two frames a level
+through the cache, and run ``h_complete(1, 1, 600)`` out of stack.
+:func:`h_from_T` writes h_n in the scaled power sums
 ``T_m = (1/m) sum t_i^m`` by Newton's recurrence
 ``n h_n = sum_(m=1..n) m T_m h_(n-m)`` (note the 1/m scaling: these are not
 the plain power sums); no route here uses it, and the tests build their
@@ -163,17 +173,19 @@ def _h(n: int, lo: int, hi: int) -> SparsePolynomial:
     # h_n over the window t_lo..t_hi, lo <= hi.
     if n < 0:
         return SparsePolynomial.zero("t")
-    if n == 0:
-        return SparsePolynomial.one("t")
     if n > _MAX_EXP:
         raise OverflowError(f"exponent {n} of h_{n} exceeds {_MAX_EXP}")
-    if lo == hi:
-        return SparsePolynomial.variable("t", lo, n)
-    # h_n(t_lo..t_hi) = h_n(t_(lo+1)..t_hi) + t_lo * h_(n-1)(t_lo..t_hi): the
-    # terms free of t_lo and the rest, every coefficient 1
-    unit = 1 << (_BITS * (lo - 1))
-    return SparsePolynomial._raw("t", {**_h(n, lo + 1, hi)._terms,
-                                       **{m + unit: 1 for m in _h(n - 1, lo, hi)._terms}})
+    if hi == 1:
+        return SparsePolynomial.variable("t", 1, n)
+    if lo > 1:  # the prefix window of the same width moved up lo - 1 variables
+        shift = _BITS * (lo - 1)
+        return SparsePolynomial._raw("t", {m << shift: 1 for m in _h(n, 1, hi - lo + 1)._terms})
+    # h_n(t_1..t_w) = sum_e h_(n-e)(t_1..t_m) * h_e(t_(m+1)..t_w), m = w // 2:
+    # the halves share no variable, so each product is one monomial, coefficient 1
+    m = hi // 2
+    return SparsePolynomial._raw("t", {a + b: 1 for e in range(n + 1)
+                                       for b in _h(e, m + 1, hi)._terms
+                                       for a in _h(n - e, 1, m)._terms})
 
 
 def h_complete(n: int, lo: int, hi: int) -> SparsePolynomial:
@@ -285,29 +297,19 @@ def schur_split_trudi(diagram: YoungDiagram, g: int, k: int) -> SparsePolynomial
         # Both degenerate splits coincide with the plain Jacobi-Trudi matrix.
         return full
     width, shift = g - k, _BITS * k
-    memo: dict[tuple, SparsePolynomial] = {}
 
     @cache
-    def lowered(n: int) -> SparsePolynomial:
-        # h_n(t_(k+1)..t_g) with its variables moved down to t_1..t_(g-k)
-        return SparsePolynomial._raw("t", {m >> shift: c for m, c in _h(n, k + 1, g)._terms.items()})
-
     def right_minor(rows: tuple[int, ...], cols: tuple[int, ...]) -> SparsePolynomial:
         # rows against columns k + cols, expanded bottom-up as det does;
         # entry (i, c) is h_(parts_i + k + c - i)
-        got = memo.get((rows, cols))
-        if got is None:
-            top = parts[rows[0] - 1] + k - rows[0]
-            if len(rows) == 1:  # h_n at its dominant terms, the partitions of n
-                got = SparsePolynomial._raw("t", dict.fromkeys(_dominant_keys(top + cols[0], width), 1))
-            else:
-                got = _symmetric_sum_of_products("t", [
-                    (-1 if pos % 2 else 1, lowered(top + c),
-                     right_minor(rows[1:], cols[:pos] + cols[pos + 1:]))
-                    for pos, c in enumerate(cols)
-                ], sum(parts[i - 1] + k - i for i in rows) + sum(cols), width)
-            memo[rows, cols] = got
-        return got
+        top = parts[rows[0] - 1] + k - rows[0]
+        if len(rows) == 1:  # h_n at its dominant terms, the partitions of n
+            return SparsePolynomial._raw("t", dict.fromkeys(_dominant_keys(top + cols[0], width), 1))
+        return _symmetric_sum_of_products("t", [
+            (-1 if pos % 2 else 1, _h(top + c, 1, width),
+             right_minor(rows[1:], cols[:pos] + cols[pos + 1:]))
+            for pos, c in enumerate(cols)
+        ], sum(parts[i - 1] + k - i for i in rows) + sum(cols), width)
 
     pieces = []
     for subset in combinations(range(1, g + 1), k):

@@ -15,7 +15,7 @@ from oracles import (
     power_sum_polynomial,
 )
 from test_acceptance import GENUS_6_SIGNATURES
-from cyclic_strata import schur
+from cyclic_strata import polynomials, schur
 from cyclic_strata.polynomials import MultiIndex, SparsePolynomial as Poly, _expand_dominant, det
 from cyclic_strata.schur import (
     ExpansionLimitError,
@@ -87,10 +87,19 @@ def test_h_complete_rejects_an_exponent_above_511():
             h_complete(512, lo, hi)
 
 
+def test_h_complete_reaches_wide_and_high_windows_cold():
+    # a prefix window splits at its middle and any other window is a shifted
+    # prefix, so the recursion is as deep as log2 of the width, whatever n
+    for args, terms in [((511, 1, 2), 512), ((511, 3, 4), 512), ((1, 1, 600), 600)]:
+        schur._h.cache_clear()
+        assert len(h_complete(*args)) == terms, args
+
+
 def test_h_complete_against_generating_function():
-    for lo, hi in [(1, 3), (2, 4), (1, 4)]:
-        for n in range(0, 6):
-            assert h_complete(n, lo, hi) == brute_h(n, lo, hi)
+    for hi in range(1, 6):
+        for lo in range(1, hi + 1):
+            for n in range(0, 6):
+                assert h_complete(n, lo, hi) == brute_h(n, lo, hi), (n, lo, hi)
 
 
 def test_window_validation():
@@ -251,6 +260,27 @@ def test_left_minors_keep_only_their_dominant_terms():
     assert sum(map(len, minors.values())) == 462
     assert sum(len(_expand_dominant(minor, g)) for minor in minors.values()) == 49943
     assert full == schur_bialternant(lam, g) and len(full) == 1872
+
+
+def test_split_routes_share_their_right_hand_minors(monkeypatch):
+    # (3, 7), k = 1..5, once the left minors are built: each split point
+    # reuses its right-hand minors across complements, so the symmetric sums
+    # are 74 calls over 1,244,343 (target, term of a) pairs
+    sig = CurveSignature(3, 7)
+    g = sig.genus
+    lam = young_diagram(sig)
+    schur_jacobi_trudi(lam, g)
+    calls = []
+    sum_at = polynomials._sum_at
+
+    def counted(family, pieces, targets, nvars):
+        calls.append(len(targets) * sum(len(a) for _, a, _ in pieces))
+        return sum_at(family, pieces, targets, nvars)
+
+    monkeypatch.setattr(polynomials, "_sum_at", counted)
+    for k in range(1, g):
+        schur_split_trudi(lam, g, k)
+    assert (len(calls), sum(calls)) == (74, 1244343)
 
 
 def test_trudi_routes_reach_genus_7():
